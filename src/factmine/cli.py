@@ -9,7 +9,7 @@ import sys
 from . import __version__
 from .corpus import load_corpus
 from .encoder import TrainConfig, load_params, save_params, train, write_training_log
-from .errors import FactmineError, MissingResult
+from .errors import DimensionMismatch, FactmineError, MissingResult
 from .evaluator import (
     RetrievalRun,
     eval_retrieval,
@@ -240,6 +240,11 @@ def cmd_retrieve(args):
     corpus = load_corpus(config["corpus"])
     params = load_params(config["checkpoint"])
     index = load_index(config["index"])
+    if index.matrix.shape[1] != params.embedding_dim:
+        raise DimensionMismatch(
+            f"checkpoint embedding_dim {params.embedding_dim} != "
+            f"index embedding_dim {index.matrix.shape[1]}"
+        )
     policy = _policy(config)
     results = {}
     for rec in corpus.split(config["query_split"]):

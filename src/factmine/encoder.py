@@ -194,21 +194,32 @@ def _doc_features(record):
     return (record.image_features, record.text_features)
 
 
-def _validation_mrr(params, corpus, config):
-    """MRR of validation queries against the train corpus, for early stopping."""
+def _validation_judgments(corpus, config):
+    """Relevant train documents per validation query; they never change."""
     from .evaluator import judge_relevance
+
+    return judge_relevance(
+        corpus,
+        config.val_chexbert_threshold,
+        config.val_radgraph_threshold,
+        query_split="validation",
+    )
+
+
+def _validation_mrr(params, corpus, config, judgments=None):
+    """MRR of validation queries against the train corpus, for early stopping.
+
+    Training passes the judgments it computed once; without them they are
+    judged here.
+    """
     from .index import ExclusionPolicy, build_index, search
 
     val = corpus.split("validation")
     if not val:
         return None
     index = build_index(corpus, params, "train")
-    judgments = judge_relevance(
-        corpus,
-        config.val_chexbert_threshold,
-        config.val_radgraph_threshold,
-        query_split="validation",
-    )
+    if judgments is None:
+        judgments = _validation_judgments(corpus, config)
     policy = ExclusionPolicy(exclude_self=False, exclude_same_patient=False, min_report_chars=0)
     total = 0.0
     for rec in val:
@@ -239,7 +250,7 @@ def _hard_negatives(params, corpus, pairs, k):
     return out
 
 
-def _run_epochs(params, corpus, examples, config, rng, log, stage, hard_negs):
+def _run_epochs(params, corpus, examples, config, rng, log, stage, hard_negs, val_judgments):
     best = params.copy()
     best_mrr = -np.inf
     stale = 0
@@ -276,7 +287,7 @@ def _run_epochs(params, corpus, examples, config, rng, log, stage, hard_negs):
             params.w_d -= lr * g_d + lr * config.weight_decay * params.w_d
         if not np.isfinite(epoch_loss):
             raise DivergedLoss(f"epoch {epoch} loss is {epoch_loss}")
-        val_mrr = _validation_mrr(params, corpus, config)
+        val_mrr = _validation_mrr(params, corpus, config, val_judgments)
         log.append(
             {
                 "stage": stage,
@@ -325,10 +336,15 @@ def train(corpus, pairs, config, embedding_dim=256, temperature=0.01):
     rng = np.random.default_rng(config.seed)
     params = init_params(config.seed, corpus.d_img, corpus.d_txt, embedding_dim, temperature)
     log = []
-    params = _run_epochs(params, corpus, examples, config, rng, log, "in_batch", None)
+    val_judgments = _validation_judgments(corpus, config)
+    params = _run_epochs(
+        params, corpus, examples, config, rng, log, "in_batch", None, val_judgments
+    )
     if config.hard_negative_k > 0:
         hard = _hard_negatives(params, corpus, pairs, config.hard_negative_k)
-        params = _run_epochs(params, corpus, examples, config, rng, log, "hard_negative", hard)
+        params = _run_epochs(
+            params, corpus, examples, config, rng, log, "hard_negative", hard, val_judgments
+        )
     return params, log
 
 

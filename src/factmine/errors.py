@@ -66,3 +66,10 @@ class MissingResult(FactmineError):
     def __init__(self, query_id):
         self.query_id = query_id
         super().__init__(f"no retrieval result for query {query_id!r}")
+
+
+class MalformedArtifact(FactmineError):
+    def __init__(self, path, reason):
+        self.path = str(path)
+        self.reason = reason
+        super().__init__(f"{path}: {reason}")

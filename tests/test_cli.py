@@ -120,3 +120,34 @@ def test_config_file_with_flag_override(workdir):
     assert header["config"]["include_self"] is False
     config = read_config_file(workdir / "mine.cfg")
     assert config["chexbert_threshold"] == 0.6
+
+
+def assert_mapped_error(code, capsys, error):
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert json.loads(err.strip())["error"] == error
+
+
+def retrieve(index):
+    return main(["retrieve", "--corpus", "corpus.jsonl", "--checkpoint", "enc.ckpt",
+                 "--index", index, "--run", "bad.tsv"])
+
+
+def test_retrieve_truncated_index_is_mapped_error(workdir, capsys):
+    run_pipeline()
+    data = (workdir / "docs.idx").read_bytes()
+    (workdir / "short.idx").write_bytes(data[:-3])
+    capsys.readouterr()
+    assert_mapped_error(retrieve("short.idx"), capsys, "MalformedArtifact")
+
+
+def test_retrieve_index_of_other_dimension_is_mapped_error(workdir, capsys):
+    run_pipeline()
+    assert main(["train", "--corpus", "corpus.jsonl", "--pairs", "pairs.tsv",
+                 "--checkpoint", "other.ckpt", "--seed", "7", "--max-epochs", "1",
+                 "--embedding-dim", "8"]) == 0
+    assert main(["index", "--corpus", "corpus.jsonl", "--checkpoint", "other.ckpt",
+                 "--index", "other.idx"]) == 0
+    capsys.readouterr()
+    assert_mapped_error(retrieve("other.idx"), capsys, "DimensionMismatch")

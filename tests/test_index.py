@@ -1,9 +1,15 @@
+import contextlib
+import json
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import factmine.index as index_module
 from factmine.corpus import synth_corpus
 from factmine.encoder import encode_query, init_params
-from factmine.errors import EmptyCandidateSet, MissingTextFeatures
+from factmine.errors import EmptyCandidateSet, MalformedArtifact, MissingTextFeatures
 from factmine.index import (
     EmbeddingIndex,
     ExclusionPolicy,
@@ -129,3 +135,144 @@ def test_index_file_roundtrip(tmp_path):
     assert back.patient_ids == index.patient_ids
     assert back.report_chars == index.report_chars
     np.testing.assert_array_equal(back.matrix, index.matrix)
+
+
+# --- vectorised selection against the naive scan ----------------------------
+
+
+def naive_search(index, scores, k, policy, query_identity):
+    """Python-loop exclusions and a full sort on (-score, doc_id)."""
+    report_id, patient_id = query_identity
+    rows = [
+        i
+        for i, doc_id in enumerate(index.doc_ids)
+        if not (policy.exclude_self and doc_id == report_id)
+        and not (policy.exclude_same_patient and index.patient_ids[i] == patient_id)
+        and index.report_chars[i] >= policy.min_report_chars
+    ]
+    ranked = sorted(rows, key=lambda i: (-scores[i], index.doc_ids[i]))
+    return [(index.doc_ids[i], float(scores[i])) for i in ranked[:k]]
+
+
+def bits(hits):
+    # float.hex tells -0.0 from 0.0, which == does not
+    return [(doc_id, score.hex()) for doc_id, score in hits]
+
+
+LEVELS = (-1.0, -0.5, -0.0, 0.0, 0.5, 1.0)
+
+
+@st.composite
+def search_problems(draw):
+    n = draw(st.integers(1, 24))
+    doc_ids = draw(st.lists(st.sampled_from([f"d{i:02d}" for i in range(30)]), min_size=n, max_size=n))
+    patients = draw(st.lists(st.sampled_from(["p0", "p1", "p2"]), min_size=n, max_size=n))
+    chars = draw(st.lists(st.integers(0, 8), min_size=n, max_size=n))
+    # direct: each query vector *is* the score vector, so signed zeros and
+    # exact ties reach the selection unchanged; otherwise a quantised GEMV.
+    direct = draw(st.booleans())
+    e = n if direct else draw(st.integers(1, 3))
+    levels = st.lists(st.sampled_from(LEVELS), min_size=e, max_size=e)
+    matrix = np.array(draw(st.lists(levels, min_size=n, max_size=n)), dtype=np.float64).reshape(n, e)
+    policy = ExclusionPolicy(draw(st.booleans()), draw(st.booleans()), draw(st.integers(0, 8)))
+    queries = draw(st.lists(
+        st.tuples(
+            levels.map(lambda v: np.array(v, dtype=np.float64)),
+            st.tuples(st.sampled_from(doc_ids + ["absent"]), st.sampled_from(["p0", "p1", "p2", "absent"])),
+        ),
+        min_size=1, max_size=4,
+    ))
+    k_kind = draw(st.sampled_from(["one", "eligible", "beyond", "any"]))
+    k_any = draw(st.integers(1, n))
+    return EmbeddingIndex(doc_ids, matrix, patients, chars), direct, policy, queries, k_kind, k_any
+
+
+@settings(max_examples=300, deadline=None)
+@given(search_problems())
+def test_search_matches_naive_scan(problem):
+    index, direct, policy, queries, k_kind, k_any = problem
+    n = len(index.doc_ids)
+    scored = mock.patch.object(index_module, "_scores", lambda _, q: q) if direct else contextlib.nullcontext()
+    with scored:
+        live = []
+        for q, identity in queries:
+            scores = q if direct else index.matrix @ q
+            eligible = len(naive_search(index, scores, n, policy, identity))
+            if eligible == 0:
+                with pytest.raises(EmptyCandidateSet):
+                    search(index, q, 1, policy, identity)
+                continue
+            k = {"one": 1, "eligible": eligible, "beyond": n + 1, "any": k_any}[k_kind]
+            want = naive_search(index, scores, k, policy, identity)
+            assert bits(search(index, q, k, policy, identity)) == bits(want)
+            live.append((q, identity, scores))
+        if live:
+            got = search_batch(index, [q for q, _, _ in live], k, policy, [i for _, i, _ in live])
+            want = [naive_search(index, s, k, policy, i) for _, i, s in live]
+            assert [bits(hits) for hits in got] == [bits(hits) for hits in want]
+
+
+def test_search_on_loaded_index_matches_built_index(tmp_path):
+    index = random_index(300, 8, seed=9)
+    index.matrix[:] = np.round(index.matrix * 2) / 2  # quantised: many tied scores
+    index.patient_ids[:] = [f"p{i % 40}" for i in range(300)]
+    index.report_chars[::7] = [3] * len(index.report_chars[::7])
+    path = tmp_path / "tied.idx"
+    save_index(index, path)
+    loaded = load_index(path)
+    policy = ExclusionPolicy()
+    for j, q in enumerate(random_index(20, 8, seed=10).matrix):
+        identity = (index.doc_ids[j], index.patient_ids[j + 1])
+        want = naive_search(index, index.matrix @ q, 10, policy, identity)
+        assert bits(search(loaded, q, 10, policy, identity)) == bits(want)
+
+
+# --- load_index rejects files save_index did not write ----------------------
+
+
+def saved_index(tmp_path):
+    path = tmp_path / "x.idx"
+    save_index(random_index(4, 3), path)
+    header, body = path.read_bytes().split(b"\n", 1)
+    return path, json.loads(header), body
+
+
+def rewrite(path, header, body):
+    path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+
+
+def test_load_index_rejects_truncated_body(tmp_path):
+    path, header, body = saved_index(tmp_path)
+    rewrite(path, header, body[:-5])
+    with pytest.raises(MalformedArtifact, match="body is 91 bytes, expected 96"):
+        load_index(path)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"schema_version": "0"},
+        {"n": 5},
+        {"n": -1},
+        {"embedding_dim": 0},
+        {"embedding_dim": "3"},
+        {"doc_ids": ["d0", "d1", "d2"]},
+        {"patient_ids": ["p0", "p1", "p2", 4]},
+        {"report_chars": [20, 20, 20, 2.5]},
+    ],
+)
+def test_load_index_rejects_bad_header(tmp_path, change):
+    path, header, body = saved_index(tmp_path)
+    rewrite(path, {**header, **change}, body)
+    with pytest.raises(MalformedArtifact):
+        load_index(path)
+
+
+def test_load_index_rejects_non_json_header_and_non_finite_entries(tmp_path):
+    path, header, body = saved_index(tmp_path)
+    path.write_bytes(b"\x89not json\n" + body)
+    with pytest.raises(MalformedArtifact, match="not a JSON line"):
+        load_index(path)
+    rewrite(path, header, np.float64(np.nan).tobytes() + body[8:])
+    with pytest.raises(MalformedArtifact, match="non-finite"):
+        load_index(path)
