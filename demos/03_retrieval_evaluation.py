@@ -19,7 +19,6 @@ from factmine import (
     synth_corpus,
     train,
 )
-from factmine.metrics import chexbert_instance, factual_similarity
 
 corpus = synth_corpus(seed=3, n=300)
 pairs = mine_pairs(corpus, MiningConfig(chexbert_threshold=0.6, radgraph_threshold=0.1))
@@ -48,12 +47,9 @@ print(f"  MRR:                 {mrr(run, judgments):.3f}")
 
 # The oracle retriever sees the ground truth and picks the argmax of
 # (label agreement + graph overlap); no retriever can beat it per query.
-oracle_results = {}
-for rec in corpus.split("test"):
-    doc_id = oracle_retrieve(corpus, rec.report_id)
-    doc = corpus[doc_id]
-    s = chexbert_instance(rec.labels, doc.labels) + factual_similarity(rec.graph, doc.graph)
-    oracle_results[rec.report_id] = [(doc_id, s)]
+oracle_results = {
+    rec.report_id: [oracle_retrieve(corpus, rec.report_id)] for rec in corpus.split("test")
+}
 oracle_score = eval_retrieval(RetrievalRun(oracle_results), corpus)
 print("\noracle upper bound:")
 print(f"  micro label F1:      {oracle_score.f1_chexbert_micro:.3f}")

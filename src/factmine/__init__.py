@@ -19,7 +19,6 @@ from .encoder import (
     encode_query,
     init_params,
     load_params,
-    relevance,
     save_params,
     train,
 )

@@ -3,7 +3,6 @@
 import argparse
 import hashlib
 import json
-import os
 import sys
 
 from . import __version__
@@ -17,7 +16,6 @@ from .evaluator import (
     mrr,
     oracle_retrieve,
     read_run,
-    write_report,
     write_run,
 )
 from .index import ExclusionPolicy, build_index, load_index, save_index, search
@@ -82,19 +80,10 @@ def write_provenance(artifact_path, command, config, inputs):
             json.dumps(config, sort_keys=True).encode()
         ).hexdigest(),
         "inputs": {p: _sha256(p) for p in inputs},
-        "threads": worker_count(),
     }
     with open(artifact_path + ".prov", "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, sort_keys=True, indent=2)
         fh.write("\n")
-
-
-def worker_count():
-    """Worker cap from FACTMINE_THREADS; execution is currently serial."""
-    try:
-        return max(1, int(os.environ.get("FACTMINE_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _mining_config(config):
@@ -311,12 +300,7 @@ def cmd_oracle(args):
     corpus = load_corpus(config["corpus"])
     results = {}
     for rec in corpus.split(config["query_split"]):
-        doc_id = oracle_retrieve(corpus, rec.report_id)
-        doc = corpus[doc_id]
-        score = chexbert_instance(rec.labels, doc.labels) + factual_similarity(
-            rec.graph, doc.graph
-        )
-        results[rec.report_id] = [(doc_id, score)]
+        results[rec.report_id] = [oracle_retrieve(corpus, rec.report_id)]
     run = RetrievalRun(results, provenance={"oracle": True, "query_split": config["query_split"]})
     write_run(run, config["run"])
     write_provenance(config["run"], "oracle", config, [config["corpus"]])
@@ -401,7 +385,7 @@ def main(argv=None):
     handler = _COMMANDS[args.command][0]
     try:
         return handler(args)
-    except FactmineError as exc:
+    except (FactmineError, OSError) as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(record, sort_keys=True), file=sys.stderr)
         return 1

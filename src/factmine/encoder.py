@@ -15,6 +15,7 @@ from .errors import (
     DegenerateEmbedding,
     DimensionMismatch,
     DivergedLoss,
+    MalformedArtifact,
     MissingTextFeatures,
     NonFiniteLoss,
     NoPositives,
@@ -120,11 +121,6 @@ def encode_doc(params, image_features, text_features):
     return e
 
 
-def relevance(q, d):
-    """Cosine relevance of two unit embeddings."""
-    return float(np.dot(q, d))
-
-
 def _doc_input(doc):
     img, txt = doc
     if txt is None:
@@ -212,6 +208,7 @@ def _validation_mrr(params, corpus, config, judgments=None):
     Training passes the judgments it computed once; without them they are
     judged here.
     """
+    from .evaluator import RetrievalRun, mrr
     from .index import ExclusionPolicy, build_index, search
 
     val = corpus.split("validation")
@@ -221,16 +218,13 @@ def _validation_mrr(params, corpus, config, judgments=None):
     if judgments is None:
         judgments = _validation_judgments(corpus, config)
     policy = ExclusionPolicy(exclude_self=False, exclude_same_patient=False, min_report_chars=0)
-    total = 0.0
+    results = {}
     for rec in val:
         q = encode_query(params, rec.image_features)
-        ranked = search(index, q, len(index.doc_ids), policy, (rec.report_id, rec.patient_id))
-        relevant = judgments.relevant.get(rec.report_id, set())
-        for rank, (doc_id, _) in enumerate(ranked, start=1):
-            if doc_id in relevant:
-                total += 1.0 / rank
-                break
-    return total / len(val)
+        results[rec.report_id] = search(
+            index, q, len(index.doc_ids), policy, (rec.report_id, rec.patient_id)
+        )
+    return mrr(RetrievalRun(results), judgments)
 
 
 def _hard_negatives(params, corpus, pairs, k):
@@ -370,16 +364,41 @@ def save_params(params, path, seed=None):
 
 
 def load_params(path):
+    """Read a file written by save_params.
+
+    Raises MalformedArtifact unless the header has this schema version,
+    valid dimensions and a positive temperature, and the body holds exactly
+    the two matrices' finite float64 values.
+    """
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline())
-        e = header["embedding_dim"]
-        d_img, d_txt = header["d_img"], header["d_txt"]
-        n_q = d_img * e
-        n_d = (d_img + d_txt) * e
-        buf = fh.read()
-    w_q = np.frombuffer(buf[: n_q * 8], dtype="<f8").reshape(d_img, e).copy()
-    w_d = np.frombuffer(buf[n_q * 8 : (n_q + n_d) * 8], dtype="<f8").reshape(d_img + d_txt, e).copy()
-    return EncoderParams(w_q, w_d, header["temperature"])
+        line = fh.readline()
+        body = fh.read()
+    try:
+        header = json.loads(line)
+    except ValueError:
+        raise MalformedArtifact(path, "checkpoint header is not a JSON line") from None
+    if not isinstance(header, dict) or header.get("schema_version") != CHECKPOINT_VERSION:
+        raise MalformedArtifact(path, f"checkpoint schema_version is not {CHECKPOINT_VERSION!r}")
+    e, d_img, d_txt = (header.get(k) for k in ("embedding_dim", "d_img", "d_txt"))
+    if not all(type(v) is int for v in (e, d_img, d_txt)) or e < 2 or d_img < 1 or d_txt < 0:
+        raise MalformedArtifact(
+            path, f"bad checkpoint shape embedding_dim={e!r} d_img={d_img!r} d_txt={d_txt!r}"
+        )
+    temperature = header.get("temperature")
+    if type(temperature) not in (int, float) or not 0 < temperature < np.inf:
+        raise MalformedArtifact(path, f"bad checkpoint temperature {temperature!r}")
+    n_q = d_img * e
+    n_d = (d_img + d_txt) * e
+    if len(body) != (n_q + n_d) * 8:
+        raise MalformedArtifact(
+            path, f"checkpoint body is {len(body)} bytes, expected {(n_q + n_d) * 8}"
+        )
+    values = np.frombuffer(body, dtype="<f8")
+    if not np.isfinite(values).all():
+        raise MalformedArtifact(path, "checkpoint has non-finite entries")
+    w_q = values[:n_q].reshape(d_img, e).copy()
+    w_d = values[n_q:].reshape(d_img + d_txt, e).copy()
+    return EncoderParams(w_q, w_d, temperature)
 
 
 def write_training_log(log, path):

@@ -5,6 +5,7 @@ from dataclasses import dataclass, field
 
 from .errors import EmptyCandidateSet, MissingResult
 from .metrics import chexbert_instance, chexbert_micro, factual_similarity, rouge_l
+from .mining import MiningConfig, candidate_pairs
 
 
 @dataclass
@@ -56,25 +57,17 @@ def judge_relevance(corpus, chexbert_threshold, radgraph_threshold, query_split=
                     doc_split="train"):
     """Per-query relevant document sets under the two factual thresholds.
 
-    Mirrors the mining filter: label agreement >= chexbert threshold and
-    graph overlap strictly > radgraph threshold, self excluded. Queries
-    default to every record in the corpus.
+    The mining filter (candidate_pairs) decides relevance: label agreement
+    >= chexbert threshold and graph overlap strictly > radgraph threshold,
+    self excluded. Queries default to every record in the corpus.
     """
-    if not (0.0 <= chexbert_threshold <= 1.0 and 0.0 <= radgraph_threshold <= 1.0):
-        raise ValueError("thresholds must be in [0, 1]")
+    config = MiningConfig(chexbert_threshold, radgraph_threshold)
     docs = corpus.split(doc_split)
     queries = corpus.records if query_split is None else corpus.split(query_split)
-    relevant = {}
-    for query in queries:
-        hits = set()
-        for doc in docs:
-            if doc.report_id == query.report_id:
-                continue
-            if chexbert_instance(query.labels, doc.labels) < chexbert_threshold:
-                continue
-            if factual_similarity(query.graph, doc.graph) > radgraph_threshold:
-                hits.add(doc.report_id)
-        relevant[query.report_id] = hits
+    relevant = {
+        query.report_id: {doc_id for doc_id, _, _ in candidate_pairs(query, docs, config)}
+        for query in queries
+    }
     return RelevanceJudgment(relevant, chexbert_threshold, radgraph_threshold)
 
 
@@ -99,19 +92,17 @@ def mrr(run, judgments, drop_unjudged=False):
     return total / n if n else 0.0
 
 
-def oracle_retrieve(corpus, query_id, restrict_train=True):
+def oracle_retrieve(corpus, query_id):
     """Ground-truth argmax of summed label agreement and graph overlap.
 
-    Candidates come from the train split. A train query never retrieves
-    itself; queries from other splits have no self to exclude. Ties break
-    by ascending doc_id.
+    Candidates come from the train split, never the query itself. Ties
+    break by ascending doc_id. Returns (doc_id, summed score).
     """
     query = corpus[query_id]
     best_id = None
     best_sum = -1.0
-    candidates = corpus.split("train") if restrict_train else corpus.records
-    for doc in candidates:
-        if query.split == "train" and doc.report_id == query.report_id:
+    for doc in corpus.split("train"):
+        if doc.report_id == query.report_id:
             continue
         total = chexbert_instance(query.labels, doc.labels) + factual_similarity(
             query.graph, doc.graph
@@ -121,7 +112,7 @@ def oracle_retrieve(corpus, query_id, restrict_train=True):
             best_id = doc.report_id
     if best_id is None:
         raise EmptyCandidateSet(f"no oracle candidates for query {query_id!r}")
-    return best_id
+    return best_id, best_sum
 
 
 # --- run file io -----------------------------------------------------------
@@ -146,17 +137,3 @@ def read_run(path):
             query_id, rank, doc_id, score = line.rstrip("\n").split("\t")
             results.setdefault(query_id, []).append((doc_id, float(score)))
     return RetrievalRun(results, header.get("provenance", {}))
-
-
-def write_report(score, path, config_echo=None, provenance=""):
-    """Evaluation report as a key/value JSON document."""
-    doc = {
-        "f1_chexbert_micro": score.f1_chexbert_micro,
-        "f1_radgraph_mean": score.f1_radgraph_mean,
-        "rouge_l_mean": score.rouge_l_mean,
-        "config": config_echo or {},
-        "provenance": provenance,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")

@@ -3,18 +3,21 @@
 All functions here are pure and safe to call concurrently.
 """
 
+import functools
+
 from .corpus import normalize_entity
 from .errors import LengthMismatch
 
 
+@functools.cache
 def fact_items(graph):
-    """Set of comparable items carried by a fact graph.
+    """Frozen set of comparable items carried by a fact graph.
 
     Entity items are (normalized_text, entity_label); relation items embed
     both endpoints as (src_text, src_label, relation_type, dst_text,
     dst_label) so they compare across reports without index alignment.
     Entities whose text normalizes to empty are dropped, along with any
-    relation touching them.
+    relation touching them. Cached: each distinct graph is normalised once.
     """
     norm = [(normalize_entity(t), l) for t, l in graph.entities]
     items = {e for e in norm if e[0]}
@@ -22,7 +25,7 @@ def fact_items(graph):
         s, d = norm[src], norm[dst]
         if s[0] and d[0]:
             items.add((s[0], s[1], rel, d[0], d[1]))
-    return items
+    return frozenset(items)
 
 
 def factual_similarity(q, d):

@@ -101,7 +101,8 @@ def threshold_sweep(corpus, grid):
     """Pair-count summaries over a grid of mining configurations.
 
     Reports pre-truncation counts so the threshold-exclusion effect is
-    visible without the top-k cap.
+    visible without the top-k cap; the truncated mean is the same count
+    capped at top_k, as mine_pairs reports it.
     """
     if not grid:
         raise ValueError("empty threshold grid")
@@ -110,22 +111,17 @@ def threshold_sweep(corpus, grid):
         raise EmptyTrainSplit(f"train split has {len(train)} records, need >= 2")
     rows = []
     for config in grid:
-        total = 0
-        zero = 0
-        for query in train:
-            n = len(candidate_pairs(query, train, config))
-            total += n
-            if n == 0:
-                zero += 1
-        truncated = mine_pairs(corpus, config)
+        counts = [len(candidate_pairs(query, train, config)) for query in train]
         rows.append(
             {
                 "chexbert_threshold": config.chexbert_threshold,
                 "radgraph_threshold": config.radgraph_threshold,
                 "top_k": config.top_k,
-                "mean_pairs_per_query": total / len(train),
-                "zero_pair_fraction": zero / len(train),
-                "mean_pairs_per_query_truncated": truncated.stats["mean_pairs_per_query"],
+                "mean_pairs_per_query": sum(counts) / len(train),
+                "zero_pair_fraction": counts.count(0) / len(train),
+                "mean_pairs_per_query_truncated": (
+                    sum(min(n, config.top_k) for n in counts) / len(train)
+                ),
             }
         )
     return rows

@@ -57,7 +57,7 @@ def build_rag_dataset(corpus, params, policy, mode):
                 warnings += 1
         elif mode == "oracle-rag":
             try:
-                retrieved_id = oracle_retrieve(corpus, rec.report_id)
+                retrieved_id, _ = oracle_retrieve(corpus, rec.report_id)
             except EmptyCandidateSet:
                 warnings += 1
         retrieved_text = None if retrieved_id is None else corpus[retrieved_id].report_text

@@ -251,7 +251,7 @@ def test_criterion_6_oracle_dominance(learning_runs):
         for qid, ranked in r["trained"]["run"].results.items():
             query = corpus[qid]
             retrieved = corpus[ranked[0][0]]
-            oracle_doc = corpus[oracle_retrieve(corpus, qid)]
+            oracle_doc = corpus[oracle_retrieve(corpus, qid)[0]]
 
             def sum_score(doc):
                 return chexbert_instance(query.labels, doc.labels) + factual_similarity(

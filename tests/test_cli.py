@@ -151,3 +151,19 @@ def test_retrieve_index_of_other_dimension_is_mapped_error(workdir, capsys):
                  "--index", "other.idx"]) == 0
     capsys.readouterr()
     assert_mapped_error(retrieve("other.idx"), capsys, "DimensionMismatch")
+
+
+def test_index_truncated_checkpoint_is_mapped_error(workdir, capsys):
+    run_pipeline()
+    data = (workdir / "enc.ckpt").read_bytes()
+    (workdir / "short.ckpt").write_bytes(data[:-20])
+    capsys.readouterr()
+    code = main(["index", "--corpus", "corpus.jsonl", "--checkpoint", "short.ckpt",
+                 "--index", "bad.idx"])
+    assert_mapped_error(code, capsys, "MalformedArtifact")
+
+
+def test_retrieve_missing_index_is_mapped_error(workdir, capsys):
+    run_pipeline()
+    capsys.readouterr()
+    assert_mapped_error(retrieve("missing.idx"), capsys, "FileNotFoundError")

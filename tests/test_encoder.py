@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -12,13 +13,13 @@ from factmine.encoder import (
     encode_query,
     init_params,
     load_params,
-    relevance,
     save_params,
     train,
 )
 from factmine.errors import (
     DegenerateEmbedding,
     DimensionMismatch,
+    MalformedArtifact,
     MissingTextFeatures,
     NoPositives,
 )
@@ -75,13 +76,6 @@ def test_encode_doc_pure():
     np.testing.assert_array_equal(
         encode_doc(params, img, txt), encode_doc(params, img, txt)
     )
-
-
-def test_relevance_extremes():
-    q = np.array([1.0, 0.0])
-    assert relevance(q, q) == 1.0
-    assert relevance(q, np.array([0.0, 1.0])) == 0.0
-    assert relevance(q, -q) == -1.0
 
 
 # --- loss ------------------------------------------------------------------
@@ -251,6 +245,50 @@ def test_hard_negative_stage_runs():
     params, log = train(corpus, pairs, config, embedding_dim=16)
     stages = {entry["stage"] for entry in log}
     assert stages == {"in_batch", "hard_negative"}
+
+
+def saved_checkpoint(tmp_path):
+    path = tmp_path / "enc.ckpt"
+    save_params(init_params(9, 6, 4, 8), path, seed=9)
+    header, body = path.read_bytes().split(b"\n", 1)
+    return path, json.loads(header), body
+
+
+def test_load_params_rejects_truncated_body(tmp_path):
+    path, header, body = saved_checkpoint(tmp_path)
+    path.write_bytes(json.dumps(header).encode() + b"\n" + body[:-20])
+    with pytest.raises(MalformedArtifact, match="body is 1004 bytes, expected 1024"):
+        load_params(path)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"schema_version": "0"},
+        {"embedding_dim": 1},
+        {"embedding_dim": "8"},
+        {"d_img": 0},
+        {"d_txt": -1},
+        {"d_txt": 4.0},
+        {"temperature": 0},
+        {"temperature": "0.01"},
+    ],
+)
+def test_load_params_rejects_bad_header(tmp_path, change):
+    path, header, body = saved_checkpoint(tmp_path)
+    path.write_bytes(json.dumps({**header, **change}).encode() + b"\n" + body)
+    with pytest.raises(MalformedArtifact):
+        load_params(path)
+
+
+def test_load_params_rejects_non_json_header_and_non_finite_entries(tmp_path):
+    path, header, body = saved_checkpoint(tmp_path)
+    path.write_bytes(b"\x89not json\n" + body)
+    with pytest.raises(MalformedArtifact, match="not a JSON line"):
+        load_params(path)
+    path.write_bytes(json.dumps(header).encode() + b"\n" + np.float64(np.inf).tobytes() + body[8:])
+    with pytest.raises(MalformedArtifact, match="non-finite"):
+        load_params(path)
 
 
 def test_checkpoint_roundtrip(tmp_path):

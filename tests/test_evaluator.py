@@ -145,14 +145,14 @@ def test_oracle_argmax_of_sums():
     assert factual_similarity(corpus["q"].graph, corpus["a"].graph) == pytest.approx(0.3)
     assert factual_similarity(corpus["q"].graph, corpus["b"].graph) == pytest.approx(0.9)
     assert factual_similarity(corpus["q"].graph, corpus["c"].graph) == pytest.approx(0.35)
-    assert oracle_retrieve(corpus, "q") == "b"
+    assert oracle_retrieve(corpus, "q")[0] == "b"
 
 
 def test_oracle_exact_duplicate_wins():
     corpus = oracle_fixture()
     dup = make_record("dup", labels=(1, 1, 1, 1, 1), graph=corpus["q"].graph)
     corpus = make_corpus(corpus.records + [dup])
-    assert oracle_retrieve(corpus, "q") == "dup"
+    assert oracle_retrieve(corpus, "q")[0] == "dup"
     doc = corpus["dup"]
     total = chexbert_instance(corpus["q"].labels, doc.labels) + factual_similarity(
         corpus["q"].graph, doc.graph
@@ -163,7 +163,39 @@ def test_oracle_exact_duplicate_wins():
 def test_oracle_train_query_excludes_self():
     corpus = synth_corpus(4, 20)
     for rec in corpus.split("train"):
-        assert oracle_retrieve(corpus, rec.report_id) != rec.report_id
+        assert oracle_retrieve(corpus, rec.report_id)[0] != rec.report_id
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_oracle_score_is_the_summed_reference_score(seed):
+    corpus = synth_corpus(seed, 30)
+    train = corpus.split("train")
+    for rec in corpus.records:
+        doc_id, score = oracle_retrieve(corpus, rec.report_id)
+        doc = corpus[doc_id]
+        assert score == chexbert_instance(rec.labels, doc.labels) + factual_similarity(
+            rec.graph, doc.graph
+        )
+        best = max(
+            chexbert_instance(rec.labels, d.labels) + factual_similarity(rec.graph, d.graph)
+            for d in train
+            if d.report_id != rec.report_id
+        )
+        assert score == best
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_judge_relevance_equals_reference_filter(seed):
+    corpus = synth_corpus(seed, 30)
+    judged = judge_relevance(corpus, 0.6, 0.1)
+    for query in corpus.records:
+        assert judged.relevant[query.report_id] == {
+            doc.report_id
+            for doc in corpus.split("train")
+            if doc.report_id != query.report_id
+            and chexbert_instance(query.labels, doc.labels) >= 0.6
+            and factual_similarity(query.graph, doc.graph) > 0.1
+        }
 
 
 def test_oracle_dominates_any_run():
@@ -176,7 +208,7 @@ def test_oracle_dominates_any_run():
     rng = np.random.default_rng(0)
     train_ids = [r.report_id for r in corpus.split("train")]
     for rec in corpus.split("test"):
-        oracle_score = sum_score(rec.report_id, oracle_retrieve(corpus, rec.report_id))
+        oracle_score = sum_score(rec.report_id, oracle_retrieve(corpus, rec.report_id)[0])
         arbitrary = train_ids[rng.integers(len(train_ids))]
         assert oracle_score >= sum_score(rec.report_id, arbitrary)
 

@@ -36,6 +36,18 @@ def test_fact_items_empty_graph():
     assert fact_items(FactGraph()) == set()
 
 
+def test_fact_items_frozen_and_equal_for_equal_graphs():
+    def build():
+        return FactGraph(
+            tuple((t.upper(), "OBS-DP") for t in ["heart", "lung"]), ((0, "modify", 1),)
+        )
+
+    a, b = build(), build()
+    assert a is not b
+    assert isinstance(fact_items(a), frozenset)
+    assert fact_items(a) == fact_items(b)
+
+
 def test_fact_items_collapses_duplicates():
     graph = FactGraph((("lung", "ANAT-DP"), ("Lung", "ANAT-DP")))
     assert fact_items(graph) == {("lung", "ANAT-DP")}

@@ -124,3 +124,37 @@ def test_sweep_identical_graphs_pair_everyone():
         corpus, [MiningConfig(chexbert_threshold=0.0, radgraph_threshold=0.5, top_k=10)]
     )
     assert rows[0]["mean_pairs_per_query"] == 4.0
+
+
+def naive_candidate_count(query, train, config):
+    return sum(
+        1
+        for doc in train
+        if doc.report_id != query.report_id
+        and chexbert_instance(query.labels, doc.labels) >= config.chexbert_threshold
+        and factual_similarity(query.graph, doc.graph) > config.radgraph_threshold
+    )
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("top_k", [1, 10])
+def test_sweep_rows_equal_naive_recount(seed, top_k):
+    corpus = synth_corpus(seed, 40)
+    train = corpus.split("train")
+    grid = [
+        MiningConfig(chexbert_threshold=c, radgraph_threshold=r, top_k=top_k)
+        for c in (0.0, 0.6, 1.0)
+        for r in (0.0, 0.2)
+    ]
+    for config, row in zip(grid, threshold_sweep(corpus, grid)):
+        counts = [naive_candidate_count(q, train, config) for q in train]
+        assert row == {
+            "chexbert_threshold": config.chexbert_threshold,
+            "radgraph_threshold": config.radgraph_threshold,
+            "top_k": top_k,
+            "mean_pairs_per_query": sum(counts) / len(train),
+            "zero_pair_fraction": counts.count(0) / len(train),
+            "mean_pairs_per_query_truncated": sum(min(n, top_k) for n in counts) / len(train),
+        }
+        mined = mine_pairs(corpus, config).stats["mean_pairs_per_query"]
+        assert row["mean_pairs_per_query_truncated"] == mined

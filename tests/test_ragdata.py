@@ -56,7 +56,7 @@ def test_oracle_rag_delegates_to_oracle():
     corpus = synth_corpus(3, 20)
     examples, _ = build_rag_dataset(corpus, None, POLICY, "oracle-rag")
     for ex in examples:
-        assert ex.retrieved_doc_id == oracle_retrieve(corpus, ex.query_report_id)
+        assert ex.retrieved_doc_id == oracle_retrieve(corpus, ex.query_report_id)[0]
 
 
 def test_policy_invariants_hold():
