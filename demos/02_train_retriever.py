@@ -3,7 +3,15 @@
 Run: python demos/02_train_retriever.py (about a minute on a laptop CPU)
 """
 
-from factmine import MiningConfig, TrainConfig, init_params, mine_pairs, synth_corpus, train
+from factmine import (
+    MiningConfig,
+    TrainConfig,
+    init_params,
+    judge_relevance,
+    mine_pairs,
+    synth_corpus,
+    train,
+)
 from factmine.encoder import _validation_mrr
 
 corpus = synth_corpus(seed=7, n=400)
@@ -24,5 +32,6 @@ for entry in log:
           f"{entry['val_mrr']:.3f}")
 
 baseline = init_params(7, corpus.d_img, corpus.d_txt, 64)
-print(f"\nuntrained random-projection MRR: {_validation_mrr(baseline, corpus, config):.3f}")
-print(f"trained MRR:                     {_validation_mrr(params, corpus, config):.3f}")
+judgments = judge_relevance(corpus, 0.6, 0.1, query_split="validation")
+print(f"\nuntrained random-projection MRR: {_validation_mrr(baseline, corpus, judgments):.3f}")
+print(f"trained MRR:                     {_validation_mrr(params, corpus, judgments):.3f}")

@@ -4,11 +4,12 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import fields
 
 from . import __version__
 from .corpus import load_corpus
-from .encoder import TrainConfig, load_params, save_params, train, write_training_log
-from .errors import DimensionMismatch, FactmineError, MissingResult
+from .encoder import TrainConfig, encode_query, load_params, save_params, train, write_training_log
+from .errors import DimensionMismatch, FactmineError, InvalidConfig, MissingResult
 from .evaluator import (
     RetrievalRun,
     eval_retrieval,
@@ -22,7 +23,6 @@ from .index import ExclusionPolicy, build_index, load_index, save_index, search
 from .metrics import chexbert_instance, factual_similarity, rouge_l
 from .mining import MiningConfig, mine_pairs, read_pairs, threshold_sweep, write_pairs
 from .ragdata import build_rag_dataset, write_rag_dataset
-from .encoder import encode_query
 
 
 def read_config_file(path):
@@ -86,67 +86,38 @@ def write_provenance(artifact_path, command, config, inputs):
         fh.write("\n")
 
 
-def _mining_config(config):
-    return MiningConfig(
-        chexbert_threshold=float(config["chexbert_threshold"]),
-        radgraph_threshold=float(config["radgraph_threshold"]),
-        top_k=int(config["top_k"]),
-        include_self=bool(config["include_self"]),
-    )
+def _defaults(cls):
+    return {f.name: f.default for f in fields(cls)}
 
 
-def _policy(config):
-    return ExclusionPolicy(
-        exclude_self=bool(config["exclude_self"]),
-        exclude_same_patient=bool(config["exclude_same_patient"]),
-        min_report_chars=int(config["min_report_chars"]),
-    )
+def _cast(config, name, kind):
+    try:
+        return kind(config[name])
+    except ValueError:
+        raise InvalidConfig(f"{name} must be {kind.__name__}, got {config[name]!r}") from None
 
 
-MINING_DEFAULTS = {
-    "chexbert_threshold": 1.0,
-    "radgraph_threshold": 0.0,
-    "top_k": 2,
-    "include_self": True,
-}
-
-POLICY_DEFAULTS = {
-    "exclude_self": True,
-    "exclude_same_patient": True,
-    "min_report_chars": 5,
-}
+def _build(cls, config):
+    """cls from the config entries named after its fields, each cast to its default's type."""
+    return cls(**{f.name: _cast(config, f.name, type(f.default)) for f in fields(cls)})
 
 
-def cmd_mine(args):
-    config = resolve_config(args, {"corpus": None, "pairs": None, **MINING_DEFAULTS})
+def cmd_mine(config):
+    mining_config = _build(MiningConfig, config)
     corpus = load_corpus(config["corpus"])
-    pair_set = mine_pairs(corpus, _mining_config(config))
+    pair_set = mine_pairs(corpus, mining_config)
     write_pairs(pair_set, config["pairs"])
     write_provenance(config["pairs"], "mine", config, [config["corpus"]])
     return 0
 
 
-def cmd_sweep(args):
-    defaults = {
-        "corpus": None,
-        "output": None,
-        "chexbert_grid": "0,0.4,0.8,1.0",
-        "radgraph_grid": "0,0.2,0.4,0.6,0.8",
-        "top_k": 2,
-        "include_self": True,
-    }
-    config = resolve_config(args, defaults)
-    corpus = load_corpus(config["corpus"])
+def cmd_sweep(config):
     grid = [
-        MiningConfig(
-            chexbert_threshold=float(c),
-            radgraph_threshold=float(r),
-            top_k=int(config["top_k"]),
-            include_self=bool(config["include_self"]),
-        )
+        _build(MiningConfig, {**config, "chexbert_threshold": c, "radgraph_threshold": r})
         for c in str(config["chexbert_grid"]).split(",")
         for r in str(config["radgraph_grid"]).split(",")
     ]
+    corpus = load_corpus(config["corpus"])
     rows = threshold_sweep(corpus, grid)
     with open(config["output"], "w", encoding="utf-8") as fh:
         for row in rows:
@@ -155,46 +126,18 @@ def cmd_sweep(args):
     return 0
 
 
-def cmd_train(args):
-    defaults = {
-        "corpus": None,
-        "pairs": None,
-        "checkpoint": None,
-        "log": None,
-        "learning_rate": 5e-6,
-        "batch_size": 32,
-        "max_epochs": 15,
-        "early_stop_patience": 5,
-        "seed": None,
-        "hard_negative_k": 0,
-        "weight_decay": 0.0,
-        "embedding_dim": 256,
-        "temperature": 0.01,
-        "val_chexbert_threshold": 0.6,
-        "val_radgraph_threshold": 0.1,
-    }
-    config = resolve_config(args, defaults)
+def cmd_train(config):
     if config["seed"] is None:
         raise FactmineError("--seed is mandatory for train")
+    train_config = _build(TrainConfig, config)
     corpus = load_corpus(config["corpus"])
     pairs = read_pairs(config["pairs"])
-    train_config = TrainConfig(
-        learning_rate=float(config["learning_rate"]),
-        batch_size=int(config["batch_size"]),
-        max_epochs=int(config["max_epochs"]),
-        early_stop_patience=int(config["early_stop_patience"]),
-        seed=int(config["seed"]),
-        hard_negative_k=int(config["hard_negative_k"]),
-        weight_decay=float(config["weight_decay"]),
-        val_chexbert_threshold=float(config["val_chexbert_threshold"]),
-        val_radgraph_threshold=float(config["val_radgraph_threshold"]),
-    )
     params, log = train(
         corpus,
         pairs,
         train_config,
-        embedding_dim=int(config["embedding_dim"]),
-        temperature=float(config["temperature"]),
+        embedding_dim=_cast(config, "embedding_dim", int),
+        temperature=_cast(config, "temperature", float),
     )
     save_params(params, config["checkpoint"], seed=train_config.seed)
     write_provenance(
@@ -205,8 +148,7 @@ def cmd_train(args):
     return 0
 
 
-def cmd_index(args):
-    config = resolve_config(args, {"corpus": None, "checkpoint": None, "index": None, "split": "train"})
+def cmd_index(config):
     corpus = load_corpus(config["corpus"])
     params = load_params(config["checkpoint"])
     index = build_index(corpus, params, config["split"])
@@ -215,17 +157,9 @@ def cmd_index(args):
     return 0
 
 
-def cmd_retrieve(args):
-    defaults = {
-        "corpus": None,
-        "checkpoint": None,
-        "index": None,
-        "run": None,
-        "query_split": "test",
-        "k": 10,
-        **POLICY_DEFAULTS,
-    }
-    config = resolve_config(args, defaults)
+def cmd_retrieve(config):
+    policy = _build(ExclusionPolicy, config)
+    k = _cast(config, "k", int)
     corpus = load_corpus(config["corpus"])
     params = load_params(config["checkpoint"])
     index = load_index(config["index"])
@@ -234,19 +168,16 @@ def cmd_retrieve(args):
             f"checkpoint embedding_dim {params.embedding_dim} != "
             f"index embedding_dim {index.matrix.shape[1]}"
         )
-    policy = _policy(config)
     results = {}
     for rec in corpus.split(config["query_split"]):
         q = encode_query(params, rec.image_features)
-        results[rec.report_id] = search(
-            index, q, int(config["k"]), policy, (rec.report_id, rec.patient_id)
-        )
+        results[rec.report_id] = search(index, q, k, policy, (rec.report_id, rec.patient_id))
     run = RetrievalRun(
         results,
         provenance={
             "checkpoint": config["checkpoint"],
-            "policy": {k: config[k] for k in POLICY_DEFAULTS},
-            "k": int(config["k"]),
+            "policy": {f.name: config[f.name] for f in fields(ExclusionPolicy)},
+            "k": k,
         },
     )
     write_run(run, config["run"])
@@ -257,16 +188,7 @@ def cmd_retrieve(args):
     return 0
 
 
-def cmd_eval(args):
-    defaults = {
-        "corpus": None,
-        "run": None,
-        "output": None,
-        "query_split": "test",
-        "eval_chexbert_threshold": 0.6,
-        "eval_radgraph_threshold": 0.1,
-    }
-    config = resolve_config(args, defaults)
+def cmd_eval(config):
     corpus = load_corpus(config["corpus"])
     run = read_run(config["run"])
     for rec in corpus.split(config["query_split"]):
@@ -275,8 +197,8 @@ def cmd_eval(args):
     score = eval_retrieval(run, corpus)
     judgments = judge_relevance(
         corpus,
-        float(config["eval_chexbert_threshold"]),
-        float(config["eval_radgraph_threshold"]),
+        _cast(config, "eval_chexbert_threshold", float),
+        _cast(config, "eval_radgraph_threshold", float),
         query_split=config["query_split"],
     )
     doc = {
@@ -295,8 +217,7 @@ def cmd_eval(args):
     return 0
 
 
-def cmd_oracle(args):
-    config = resolve_config(args, {"corpus": None, "run": None, "query_split": "test"})
+def cmd_oracle(config):
     corpus = load_corpus(config["corpus"])
     results = {}
     for rec in corpus.split(config["query_split"]):
@@ -307,18 +228,11 @@ def cmd_oracle(args):
     return 0
 
 
-def cmd_build_rag(args):
-    defaults = {
-        "corpus": None,
-        "checkpoint": None,
-        "output": None,
-        "mode": "rag",
-        **POLICY_DEFAULTS,
-    }
-    config = resolve_config(args, defaults)
+def cmd_build_rag(config):
+    policy = _build(ExclusionPolicy, config)
     corpus = load_corpus(config["corpus"])
     params = load_params(config["checkpoint"]) if config["mode"] == "rag" else None
-    examples, warnings = build_rag_dataset(corpus, params, _policy(config), config["mode"])
+    examples, warnings = build_rag_dataset(corpus, params, policy, config["mode"])
     write_rag_dataset(examples, config["output"])
     inputs = [config["corpus"]]
     if config["mode"] == "rag":
@@ -329,8 +243,7 @@ def cmd_build_rag(args):
     return 0
 
 
-def cmd_score(args):
-    config = resolve_config(args, {"corpus": None, "a": None, "b": None})
+def cmd_score(config):
     corpus = load_corpus(config["corpus"])
     a, b = corpus[config["a"]], corpus[config["b"]]
     doc = {
@@ -342,49 +255,85 @@ def cmd_score(args):
     return 0
 
 
-def _add_options(parser, names):
-    parser.add_argument("--config")
-    for name in names:
-        flag = "--" + name.replace("_", "-")
-        parser.add_argument(flag, dest=name)
-
-
+# Each command's handler and its options with their defaults; every option
+# is also a flag, and None marks one without a default.
 _COMMANDS = {
-    "mine": (cmd_mine, ["corpus", "pairs", *MINING_DEFAULTS]),
-    "sweep": (cmd_sweep, ["corpus", "output", "chexbert_grid", "radgraph_grid", "top_k", "include_self"]),
+    "mine": (cmd_mine, {"corpus": None, "pairs": None, **_defaults(MiningConfig)}),
+    "sweep": (
+        cmd_sweep,
+        {
+            "corpus": None,
+            "output": None,
+            "chexbert_grid": "0,0.4,0.8,1.0",
+            "radgraph_grid": "0,0.2,0.4,0.6,0.8",
+            "top_k": MiningConfig.top_k,
+            "include_self": MiningConfig.include_self,
+        },
+    ),
     "train": (
         cmd_train,
-        [
-            "corpus", "pairs", "checkpoint", "log", "learning_rate", "batch_size",
-            "max_epochs", "early_stop_patience", "seed", "hard_negative_k",
-            "weight_decay", "embedding_dim", "temperature",
-            "val_chexbert_threshold", "val_radgraph_threshold",
-        ],
+        {
+            "corpus": None,
+            "pairs": None,
+            "checkpoint": None,
+            "log": None,
+            **_defaults(TrainConfig),
+            "seed": None,
+            "embedding_dim": 256,
+            "temperature": 0.01,
+        },
     ),
-    "index": (cmd_index, ["corpus", "checkpoint", "index", "split"]),
+    "index": (cmd_index, {"corpus": None, "checkpoint": None, "index": None, "split": "train"}),
     "retrieve": (
         cmd_retrieve,
-        ["corpus", "checkpoint", "index", "run", "query_split", "k", *POLICY_DEFAULTS],
+        {
+            "corpus": None,
+            "checkpoint": None,
+            "index": None,
+            "run": None,
+            "query_split": "test",
+            "k": 10,
+            **_defaults(ExclusionPolicy),
+        },
     ),
     "eval": (
         cmd_eval,
-        ["corpus", "run", "output", "query_split", "eval_chexbert_threshold", "eval_radgraph_threshold"],
+        {
+            "corpus": None,
+            "run": None,
+            "output": None,
+            "query_split": "test",
+            "eval_chexbert_threshold": 0.6,
+            "eval_radgraph_threshold": 0.1,
+        },
     ),
-    "oracle": (cmd_oracle, ["corpus", "run", "query_split"]),
-    "build-rag": (cmd_build_rag, ["corpus", "checkpoint", "output", "mode", *POLICY_DEFAULTS]),
-    "score": (cmd_score, ["corpus", "a", "b"]),
+    "oracle": (cmd_oracle, {"corpus": None, "run": None, "query_split": "test"}),
+    "build-rag": (
+        cmd_build_rag,
+        {
+            "corpus": None,
+            "checkpoint": None,
+            "output": None,
+            "mode": "rag",
+            **_defaults(ExclusionPolicy),
+        },
+    ),
+    "score": (cmd_score, {"corpus": None, "a": None, "b": None}),
 }
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(prog="factmine")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, options) in _COMMANDS.items():
-        _add_options(sub.add_parser(name), options)
+    for name, (_, defaults) in _COMMANDS.items():
+        command = sub.add_parser(name)
+        command.add_argument("--config")
+        for option in defaults:
+            command.add_argument("--" + option.replace("_", "-"), dest=option)
     args = parser.parse_args(argv)
-    handler = _COMMANDS[args.command][0]
+    handler, defaults = _COMMANDS[args.command]
     try:
-        return handler(args)
+        return handler(resolve_config(args, defaults))
     except (FactmineError, OSError) as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(record, sort_keys=True), file=sys.stderr)

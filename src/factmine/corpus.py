@@ -14,6 +14,7 @@ from .errors import (
     DimensionMismatch,
     DuplicateId,
     MalformedRecord,
+    UnknownId,
     UnknownLabelArity,
 )
 
@@ -104,7 +105,10 @@ class Corpus:
         return len(self.records)
 
     def __getitem__(self, report_id):
-        return self.by_id[report_id]
+        try:
+            return self.by_id[report_id]
+        except KeyError:
+            raise UnknownId(report_id) from None
 
     def split(self, name):
         return [r for r in self.records if r.split == name]
@@ -146,7 +150,7 @@ def _parse_record(obj, d_img, d_txt, line_no):
     return rec
 
 
-def load_corpus(path, schema_version=SCHEMA_VERSION):
+def load_corpus(path):
     """Parse and validate a JSONL corpus file.
 
     The first line is a header carrying schema_version and the corpus-wide
@@ -161,8 +165,8 @@ def load_corpus(path, schema_version=SCHEMA_VERSION):
             version = str(header["schema_version"])
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise MalformedRecord(1, f"bad header: {exc}") from exc
-        if version != schema_version:
-            raise MalformedRecord(1, f"schema_version {version!r}, expected {schema_version!r}")
+        if version != SCHEMA_VERSION:
+            raise MalformedRecord(1, f"schema_version {version!r}, expected {SCHEMA_VERSION!r}")
         records = []
         seen = set()
         for line_no, line in enumerate(fh, start=2):

@@ -15,6 +15,7 @@ from .errors import (
     DegenerateEmbedding,
     DimensionMismatch,
     DivergedLoss,
+    InvalidConfig,
     MalformedArtifact,
     MissingTextFeatures,
     NonFiniteLoss,
@@ -32,13 +33,13 @@ class EncoderParams:
 
     def __post_init__(self):
         if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
+            raise InvalidConfig("temperature must be positive")
         if self.w_q.shape[1] != self.w_d.shape[1]:
             raise DimensionMismatch("w_q and w_d disagree on embedding dim")
         if self.w_q.shape[1] < 2:
-            raise ValueError("embedding dim must be >= 2")
+            raise InvalidConfig("embedding dim must be >= 2")
         if not (np.isfinite(self.w_q).all() and np.isfinite(self.w_d).all()):
-            raise ValueError("non-finite parameter entries")
+            raise InvalidConfig("non-finite parameter entries")
 
     @property
     def embedding_dim(self):
@@ -72,11 +73,11 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.learning_rate < 0 or self.weight_decay < 0:
-            raise ValueError("learning_rate and weight_decay must be >= 0")
+            raise InvalidConfig("learning_rate and weight_decay must be >= 0")
         if self.batch_size < 1 or self.max_epochs < 1 or self.early_stop_patience < 1:
-            raise ValueError("batch_size, max_epochs, early_stop_patience must be >= 1")
+            raise InvalidConfig("batch_size, max_epochs, early_stop_patience must be >= 1")
         if self.hard_negative_k < 0:
-            raise ValueError("hard_negative_k must be >= 0")
+            raise InvalidConfig("hard_negative_k must be >= 0")
 
 
 def init_params(seed, d_img, d_txt, embedding_dim=256, temperature=0.01):
@@ -190,24 +191,8 @@ def _doc_features(record):
     return (record.image_features, record.text_features)
 
 
-def _validation_judgments(corpus, config):
-    """Relevant train documents per validation query; they never change."""
-    from .evaluator import judge_relevance
-
-    return judge_relevance(
-        corpus,
-        config.val_chexbert_threshold,
-        config.val_radgraph_threshold,
-        query_split="validation",
-    )
-
-
-def _validation_mrr(params, corpus, config, judgments=None):
-    """MRR of validation queries against the train corpus, for early stopping.
-
-    Training passes the judgments it computed once; without them they are
-    judged here.
-    """
+def _validation_mrr(params, corpus, judgments):
+    """MRR of validation queries against the train corpus, for early stopping."""
     from .evaluator import RetrievalRun, mrr
     from .index import ExclusionPolicy, build_index, search
 
@@ -215,8 +200,6 @@ def _validation_mrr(params, corpus, config, judgments=None):
     if not val:
         return None
     index = build_index(corpus, params, "train")
-    if judgments is None:
-        judgments = _validation_judgments(corpus, config)
     policy = ExclusionPolicy(exclude_self=False, exclude_same_patient=False, min_report_chars=0)
     results = {}
     for rec in val:
@@ -281,7 +264,7 @@ def _run_epochs(params, corpus, examples, config, rng, log, stage, hard_negs, va
             params.w_d -= lr * g_d + lr * config.weight_decay * params.w_d
         if not np.isfinite(epoch_loss):
             raise DivergedLoss(f"epoch {epoch} loss is {epoch_loss}")
-        val_mrr = _validation_mrr(params, corpus, config, val_judgments)
+        val_mrr = _validation_mrr(params, corpus, val_judgments)
         log.append(
             {
                 "stage": stage,
@@ -315,6 +298,8 @@ def train(corpus, pairs, config, embedding_dim=256, temperature=0.01):
     continues training with them as extra negatives. Early stopping watches
     validation MRR. Deterministic under a fixed seed.
     """
+    from .evaluator import judge_relevance
+
     train_ids = {r.report_id for r in corpus.split("train")}
     examples = []
     for query_id, entries in sorted(pairs.pairs.items()):
@@ -330,7 +315,13 @@ def train(corpus, pairs, config, embedding_dim=256, temperature=0.01):
     rng = np.random.default_rng(config.seed)
     params = init_params(config.seed, corpus.d_img, corpus.d_txt, embedding_dim, temperature)
     log = []
-    val_judgments = _validation_judgments(corpus, config)
+    # Relevant train documents per validation query; they never change.
+    val_judgments = judge_relevance(
+        corpus,
+        config.val_chexbert_threshold,
+        config.val_radgraph_threshold,
+        query_split="validation",
+    )
     params = _run_epochs(
         params, corpus, examples, config, rng, log, "in_batch", None, val_judgments
     )

@@ -12,6 +12,18 @@ class MalformedRecord(FactmineError):
         super().__init__(f"line {line_no}: {reason}")
 
 
+class InvalidConfig(FactmineError, ValueError):
+    """An option or argument value out of its allowed range or of the wrong type."""
+
+
+class UnknownId(FactmineError, KeyError):
+    def __init__(self, report_id):
+        self.report_id = report_id
+        super().__init__(f"unknown report_id {report_id!r}")
+
+    __str__ = FactmineError.__str__  # KeyError would repr the message
+
+
 class DuplicateId(FactmineError):
     def __init__(self, report_id):
         self.report_id = report_id

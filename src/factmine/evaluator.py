@@ -53,8 +53,7 @@ def eval_retrieval(run, corpus):
     )
 
 
-def judge_relevance(corpus, chexbert_threshold, radgraph_threshold, query_split=None,
-                    doc_split="train"):
+def judge_relevance(corpus, chexbert_threshold, radgraph_threshold, query_split=None):
     """Per-query relevant document sets under the two factual thresholds.
 
     The mining filter (candidate_pairs) decides relevance: label agreement
@@ -62,7 +61,7 @@ def judge_relevance(corpus, chexbert_threshold, radgraph_threshold, query_split=
     self excluded. Queries default to every record in the corpus.
     """
     config = MiningConfig(chexbert_threshold, radgraph_threshold)
-    docs = corpus.split(doc_split)
+    docs = corpus.split("train")
     queries = corpus.records if query_split is None else corpus.split(query_split)
     relevant = {
         query.report_id: {doc_id for doc_id, _, _ in candidate_pairs(query, docs, config)}

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .encoder import encode_doc
-from .errors import EmptyCandidateSet, MalformedArtifact, MissingTextFeatures
+from .errors import EmptyCandidateSet, InvalidConfig, MalformedArtifact, MissingTextFeatures
 
 
 @dataclass(frozen=True)
@@ -17,7 +17,7 @@ class ExclusionPolicy:
 
     def __post_init__(self):
         if self.min_report_chars < 0:
-            raise ValueError("min_report_chars must be >= 0")
+            raise InvalidConfig("min_report_chars must be >= 0")
 
 
 @dataclass
@@ -106,7 +106,7 @@ def search(index, query_embedding, k, policy, query_identity):
     entries when exclusions exhaust the corpus beyond that point.
     """
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise InvalidConfig("k must be >= 1")
     rows = _row_arrays(index)
     candidates = np.flatnonzero(_eligible(rows, policy, query_identity))
     if candidates.size == 0:

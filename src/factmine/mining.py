@@ -3,7 +3,7 @@
 import json
 from dataclasses import dataclass, field, asdict
 
-from .errors import EmptyTrainSplit
+from .errors import EmptyTrainSplit, InvalidConfig
 from .metrics import chexbert_instance, factual_similarity
 
 SELF_RANK = 0  # rank reserved for the query's own report when include_self
@@ -18,11 +18,11 @@ class MiningConfig:
 
     def __post_init__(self):
         if not (0.0 <= self.chexbert_threshold <= 1.0):
-            raise ValueError("chexbert_threshold must be in [0, 1]")
+            raise InvalidConfig("chexbert_threshold must be in [0, 1]")
         if not (0.0 <= self.radgraph_threshold <= 1.0):
-            raise ValueError("radgraph_threshold must be in [0, 1]")
+            raise InvalidConfig("radgraph_threshold must be in [0, 1]")
         if self.top_k < 1:
-            raise ValueError("top_k must be >= 1")
+            raise InvalidConfig("top_k must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ import json
 from dataclasses import dataclass
 
 from .encoder import encode_query
-from .errors import EmptyCandidateSet
+from .errors import EmptyCandidateSet, InvalidConfig
 from .evaluator import oracle_retrieve
 from .index import build_index, search
 
@@ -42,7 +42,7 @@ def build_rag_dataset(corpus, params, policy, mode):
     Returns (examples, warning_count).
     """
     if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
+        raise InvalidConfig(f"unknown mode {mode!r}")
     index = build_index(corpus, params, "train") if mode == "rag" else None
     examples = []
     warnings = 0

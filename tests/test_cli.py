@@ -167,3 +167,69 @@ def test_retrieve_missing_index_is_mapped_error(workdir, capsys):
     run_pipeline()
     capsys.readouterr()
     assert_mapped_error(retrieve("missing.idx"), capsys, "FileNotFoundError")
+
+
+# Every option each command records in its .prov sidecar when run with only
+# its required flags: the flag defaults, which come from the config classes.
+REQUIRED_FLAG_CONFIGS = [
+    (["mine", "--pairs", "pairs.tsv"], "pairs.tsv", {
+        "corpus": "corpus.jsonl", "pairs": "pairs.tsv", "chexbert_threshold": 1.0,
+        "radgraph_threshold": 0.0, "top_k": 2, "include_self": True,
+    }),
+    (["sweep", "--output", "sweep.jsonl"], "sweep.jsonl", {
+        "corpus": "corpus.jsonl", "output": "sweep.jsonl", "chexbert_grid": "0,0.4,0.8,1.0",
+        "radgraph_grid": "0,0.2,0.4,0.6,0.8", "top_k": 2, "include_self": True,
+    }),
+    (["train", "--pairs", "pairs.tsv", "--checkpoint", "enc.ckpt", "--seed", "7"], "enc.ckpt", {
+        "corpus": "corpus.jsonl", "pairs": "pairs.tsv", "checkpoint": "enc.ckpt", "log": None,
+        "learning_rate": 5e-06, "batch_size": 32, "max_epochs": 15, "early_stop_patience": 5,
+        "seed": 7, "hard_negative_k": 0, "weight_decay": 0.0, "embedding_dim": 256,
+        "temperature": 0.01, "val_chexbert_threshold": 0.6, "val_radgraph_threshold": 0.1,
+    }),
+    (["index", "--checkpoint", "enc.ckpt", "--index", "docs.idx"], "docs.idx", {
+        "corpus": "corpus.jsonl", "checkpoint": "enc.ckpt", "index": "docs.idx", "split": "train",
+    }),
+    (["retrieve", "--checkpoint", "enc.ckpt", "--index", "docs.idx", "--run", "run.tsv"],
+     "run.tsv", {
+        "corpus": "corpus.jsonl", "checkpoint": "enc.ckpt", "index": "docs.idx", "run": "run.tsv",
+        "query_split": "test", "k": 10, "exclude_self": True, "exclude_same_patient": True,
+        "min_report_chars": 5,
+    }),
+    (["eval", "--run", "run.tsv", "--output", "eval.json"], "eval.json", {
+        "corpus": "corpus.jsonl", "run": "run.tsv", "output": "eval.json", "query_split": "test",
+        "eval_chexbert_threshold": 0.6, "eval_radgraph_threshold": 0.1,
+    }),
+    (["oracle", "--run", "oracle.tsv"], "oracle.tsv", {
+        "corpus": "corpus.jsonl", "run": "oracle.tsv", "query_split": "test",
+    }),
+    (["build-rag", "--checkpoint", "enc.ckpt", "--output", "rag.jsonl"], "rag.jsonl", {
+        "corpus": "corpus.jsonl", "checkpoint": "enc.ckpt", "output": "rag.jsonl", "mode": "rag",
+        "exclude_self": True, "exclude_same_patient": True, "min_report_chars": 5,
+    }),
+]
+
+
+def test_sidecar_config_records_defaults(workdir):
+    for argv, artifact, expected in REQUIRED_FLAG_CONFIGS:
+        assert main([argv[0], "--corpus", "corpus.jsonl", *argv[1:]]) == 0, argv[0]
+        sidecar = json.loads((workdir / (artifact + ".prov")).read_text())
+        assert sidecar["config"] == expected, argv[0]
+    assert json.loads((workdir / "eval.json").read_text())["config"] == REQUIRED_FLAG_CONFIGS[5][2]
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["mine", "--pairs", "bad.tsv", "--chexbert-threshold", "2"], "InvalidConfig"),
+    (["mine", "--pairs", "bad.tsv", "--top-k", "abc"], "InvalidConfig"),
+    (["retrieve", "--checkpoint", "enc.ckpt", "--index", "docs.idx", "--run", "bad.tsv",
+      "--k", "0"], "InvalidConfig"),
+    (["train", "--pairs", "pairs.tsv", "--checkpoint", "bad.ckpt", "--seed", "7",
+      "--batch-size", "0"], "InvalidConfig"),
+    (["score", "--a", "nope", "--b", "s00001"], "UnknownId"),
+    (["build-rag", "--output", "bad.jsonl", "--mode", "bogus"], "InvalidConfig"),
+], ids=["threshold-out-of-range", "top-k-not-int", "k-zero", "batch-size-zero", "unknown-id",
+        "unknown-mode"])
+def test_bad_option_or_id_is_mapped_error(workdir, capsys, argv, error):
+    run_pipeline()
+    capsys.readouterr()
+    code = main([argv[0], "--corpus", "corpus.jsonl", *argv[1:]])
+    assert_mapped_error(code, capsys, error)

@@ -221,10 +221,12 @@ def test_train_improves_validation_mrr():
     config = TrainConfig(learning_rate=0.05, max_epochs=5, seed=11)
     params, log = train(corpus, pairs, config, embedding_dim=32)
     from factmine.encoder import _validation_mrr
+    from factmine.evaluator import judge_relevance
 
-    trained = _validation_mrr(params, corpus, config)
+    judgments = judge_relevance(corpus, 0.6, 0.1, query_split="validation")
+    trained = _validation_mrr(params, corpus, judgments)
     untrained = _validation_mrr(
-        init_params(11, corpus.d_img, corpus.d_txt, 32), corpus, config
+        init_params(11, corpus.d_img, corpus.d_txt, 32), corpus, judgments
     )
     assert trained > untrained
 
