@@ -23,8 +23,9 @@ config = TrainConfig(
     max_epochs=6,
     early_stop_patience=5,
     seed=7,
+    embedding_dim=64,
 )
-params, log = train(corpus, pairs, config, embedding_dim=64)
+params, log = train(corpus, pairs, config)
 
 print("epoch  stage         loss      val MRR")
 for entry in log:

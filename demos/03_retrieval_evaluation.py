@@ -24,8 +24,7 @@ corpus = synth_corpus(seed=3, n=300)
 pairs = mine_pairs(corpus, MiningConfig(chexbert_threshold=0.6, radgraph_threshold=0.1))
 params, _ = train(
     corpus, pairs,
-    TrainConfig(learning_rate=0.05, max_epochs=5, seed=3),
-    embedding_dim=64,
+    TrainConfig(learning_rate=0.05, max_epochs=5, seed=3, embedding_dim=64),
 )
 
 # Retrieval corpus is always the train split; test queries bring images only.

@@ -17,8 +17,7 @@ corpus = synth_corpus(seed=5, n=150)
 pairs = mine_pairs(corpus, MiningConfig(chexbert_threshold=0.6, radgraph_threshold=0.1))
 params, _ = train(
     corpus, pairs,
-    TrainConfig(learning_rate=0.05, max_epochs=4, seed=5),
-    embedding_dim=32,
+    TrainConfig(learning_rate=0.05, max_epochs=4, seed=5, embedding_dim=32),
 )
 
 # The production filters: never hand a query its own report, another study

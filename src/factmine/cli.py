@@ -51,10 +51,18 @@ def _parse_scalar(text):
 
 
 def resolve_config(args, defaults):
-    """File values under flag values under defaults; flags win."""
+    """File values under flag values under defaults; flags win.
+
+    Raises InvalidConfig for a config-file key that is not one of the
+    command's options.
+    """
     config = dict(defaults)
     if getattr(args, "config", None):
-        config.update(read_config_file(args.config))
+        from_file = read_config_file(args.config)
+        unknown = sorted(set(from_file) - set(defaults))
+        if unknown:
+            raise InvalidConfig(f"{args.config}: unknown config keys {unknown}")
+        config.update(from_file)
     for key in defaults:
         value = getattr(args, key, None)
         if value is not None:
@@ -132,13 +140,7 @@ def cmd_train(config):
     train_config = _build(TrainConfig, config)
     corpus = load_corpus(config["corpus"])
     pairs = read_pairs(config["pairs"])
-    params, log = train(
-        corpus,
-        pairs,
-        train_config,
-        embedding_dim=_cast(config, "embedding_dim", int),
-        temperature=_cast(config, "temperature", float),
-    )
+    params, log = train(corpus, pairs, train_config)
     save_params(params, config["checkpoint"], seed=train_config.seed)
     write_provenance(
         config["checkpoint"], "train", config, [config["corpus"], config["pairs"]]
@@ -279,8 +281,6 @@ _COMMANDS = {
             "log": None,
             **_defaults(TrainConfig),
             "seed": None,
-            "embedding_dim": 256,
-            "temperature": 0.01,
         },
     ),
     "index": (cmd_index, {"corpus": None, "checkpoint": None, "index": None, "split": "train"}),

@@ -1,8 +1,11 @@
 """Linear projection encoders on a shared unit sphere, trained contrastively.
 
-Gradients are derived by hand through the projection and L2 normalization;
-no autodiff framework is involved. 64-bit accumulation throughout: with the
-default temperature of 0.01 logits reach +/-100.
+Training takes one batched softmax per mini-batch: a B x B logit matrix of
+every query against every in-batch document, plus a B x h block of per-query
+hard negatives in the second stage. `contrastive_loss` is its per-query
+reference. Gradients are derived by hand through the projection and L2
+normalization; no autodiff framework is involved. 64-bit accumulation
+throughout: with the default temperature of 0.01 logits reach +/-100.
 """
 
 import json
@@ -29,7 +32,7 @@ _NORM_FLOOR = 1e-12
 class EncoderParams:
     w_q: np.ndarray  # (d_img, e)
     w_d: np.ndarray  # (d_img + d_txt, e)
-    temperature: float = 0.01
+    temperature: float
 
     def __post_init__(self):
         if self.temperature <= 0:
@@ -70,6 +73,8 @@ class TrainConfig:
     # stopping; mirror the mining filter semantics.
     val_chexbert_threshold: float = 0.6
     val_radgraph_threshold: float = 0.1
+    embedding_dim: int = 256
+    temperature: float = 0.01
 
     def __post_init__(self):
         if self.learning_rate < 0 or self.weight_decay < 0:
@@ -80,7 +85,9 @@ class TrainConfig:
             raise InvalidConfig("hard_negative_k must be >= 0")
 
 
-def init_params(seed, d_img, d_txt, embedding_dim=256, temperature=0.01):
+def init_params(
+    seed, d_img, d_txt, embedding_dim=TrainConfig.embedding_dim, temperature=TrainConfig.temperature
+):
     """Random projection heads; also serves as the untrained baseline."""
     rng = np.random.default_rng(seed)
     scale_q = 1.0 / np.sqrt(d_img)
@@ -187,8 +194,108 @@ def contrastive_loss(params, query_features, positives, in_batch_negatives, extr
 # --- training --------------------------------------------------------------
 
 
-def _doc_features(record):
-    return (record.image_features, record.text_features)
+def _normalize_rows(u):
+    # Row-wise `_normalize` for training; encode_query and encode_doc keep the
+    # per-vector one, so embeddings and search scores stay bit for bit the same.
+    norms = np.linalg.norm(u, axis=-1, keepdims=True)
+    if (norms < _NORM_FLOOR).any():
+        raise DegenerateEmbedding(f"projection norm {norms.min()} below {_NORM_FLOOR}")
+    return u / norms, norms
+
+
+def _batch_loss(params, x, z, hard, hard_mask):
+    """Summed contrastive loss of one mini-batch and its exact gradients.
+
+    Row i of x (B, d_img) is query i's image input and row i of z
+    (B, d_img + d_txt) its positive document; every other row of z is one
+    of its negatives, duplicates included. hard (B, h, d_img + d_txt), or
+    None, holds extra negatives per query, of which the slots where
+    hard_mask (B, h) is False do not count. Equals the sum of `contrastive_loss` over the rows,
+    where a row with no negative at all contributes nothing.
+    Returns (loss, grad_w_q, grad_w_d).
+    """
+    tau = params.temperature
+    n = len(x)
+    q, q_norm = _normalize_rows(x @ params.w_q)
+    d, d_norm = _normalize_rows(z @ params.w_d)
+    logits = q @ d.T / tau
+    if hard is not None:
+        e_h, h_norm = _normalize_rows(hard @ params.w_d)
+        extra = np.einsum("be,bhe->bh", q, e_h) / tau
+        logits = np.hstack([logits, np.where(hard_mask, extra, -np.inf)])
+    top = logits.max(axis=1, keepdims=True)
+    exps = np.exp(logits - top)
+    total = exps.sum(axis=1, keepdims=True)
+    diag = np.arange(n)
+    # A row holding only its positive gives log(1) - 0 = 0 and a zero softmax
+    # gradient, which is what skipping it would give.
+    loss = float(np.sum(np.log(total[:, 0]) - (logits[diag, diag] - top[:, 0])))
+    if not np.isfinite(loss):
+        raise NonFiniteLoss(f"loss is {loss}")
+    dlogits = exps / total
+    dlogits[diag, diag] -= 1.0
+    dlogits /= tau
+
+    # Backprop through cosine and the two normalized projections.
+    dq = dlogits[:, :n] @ d
+    dd = dlogits[:, :n].T @ q
+    dv = (dd - np.sum(d * dd, axis=1, keepdims=True) * d) / d_norm
+    grad_w_d = z.T @ dv
+    if hard is not None:
+        dq += np.einsum("bh,bhe->be", dlogits[:, n:], e_h)
+        de_h = dlogits[:, n:, None] * q[:, None, :]
+        dv_h = (de_h - np.sum(e_h * de_h, axis=2, keepdims=True) * e_h) / h_norm
+        grad_w_d += hard.reshape(-1, hard.shape[2]).T @ dv_h.reshape(-1, dv_h.shape[2])
+    du = (dq - np.sum(q * dq, axis=1, keepdims=True) * q) / q_norm
+    return loss, x.T @ du, grad_w_d
+
+
+def _stack_inputs(corpus, examples):
+    """Row of each train report, with its image and document inputs.
+
+    Returns (rows, x, z): rows maps report id -> row, x is (n, d_img) and z
+    is (n, d_img + d_txt). Every paired document must have text features.
+    A report without them keeps zero text columns and is never gathered as
+    a document: hard negatives come from build_index, which refuses it.
+    """
+    for _, doc_id in examples:
+        if corpus[doc_id].text_features is None:
+            raise MissingTextFeatures(doc_id)
+    records = corpus.split("train")
+    rows = {r.report_id: i for i, r in enumerate(records)}
+    z = np.zeros((len(records), corpus.d_img + corpus.d_txt))
+    for i, r in enumerate(records):
+        z[i, : corpus.d_img] = r.image_features
+        if r.text_features is not None:
+            z[i, corpus.d_img :] = r.text_features
+    return rows, z[:, : corpus.d_img], z
+
+
+def _batches(inputs, examples, order, batch_size, hard_negs, k):
+    """Per mini-batch `_batch_loss` inputs (x, z, hard, hard_mask), in `order`.
+
+    Each query's hard negatives fill the first of k slots; the rest are
+    masked out and hold its positive, so every slot normalizes.
+    """
+    rows, x, z = inputs
+    query_rows = np.array([rows[query_id] for query_id, _ in examples], dtype=np.int64)[order]
+    doc_rows = np.array([rows[doc_id] for _, doc_id in examples], dtype=np.int64)[order]
+    if hard_negs is not None:
+        mask = np.zeros((len(order), k), dtype=bool)
+        hard_rows = np.repeat(doc_rows[:, None], k, axis=1)
+        for slot, i in enumerate(order):
+            picked = [rows[doc_id] for doc_id in hard_negs.get(examples[i][0], ())]
+            mask[slot, : len(picked)] = True
+            hard_rows[slot, : len(picked)] = picked
+    batches = []
+    for lo in range(0, len(order), batch_size):
+        part = slice(lo, lo + batch_size)
+        batch = (x[query_rows[part]], z[doc_rows[part]])
+        if hard_negs is None:
+            batches.append((*batch, None, None))
+        else:
+            batches.append((*batch, z[hard_rows[part]], mask[part]))
+    return batches
 
 
 def _validation_mrr(params, corpus, judgments):
@@ -227,38 +334,24 @@ def _hard_negatives(params, corpus, pairs, k):
     return out
 
 
-def _run_epochs(params, corpus, examples, config, rng, log, stage, hard_negs, val_judgments):
+def _run_epochs(
+    params, corpus, inputs, examples, config, rng, log, stage, hard_negs, val_judgments
+):
     best = params.copy()
     best_mrr = -np.inf
     stale = 0
     # One permutation per stage: keeps the batch partition (and so the loss
     # at zero learning rate) identical across epochs.
     order = rng.permutation(len(examples))
+    batches = _batches(
+        inputs, examples, order, config.batch_size, hard_negs, config.hard_negative_k
+    )
     for epoch in range(config.max_epochs):
         start = time.monotonic()
         epoch_loss = 0.0
-        for lo in range(0, len(order), config.batch_size):
-            batch = [examples[i] for i in order[lo : lo + config.batch_size]]
-            batch_docs = [_doc_features(corpus[doc_id]) for _, doc_id in batch]
-            g_q = np.zeros_like(params.w_q)
-            g_d = np.zeros_like(params.w_d)
-            for i, (query_id, _) in enumerate(batch):
-                in_batch = batch_docs[:i] + batch_docs[i + 1 :]
-                extra = [
-                    _doc_features(corpus[n]) for n in hard_negs.get(query_id, ())
-                ] if hard_negs else []
-                if not in_batch and not extra:
-                    continue
-                loss, gq, gd = contrastive_loss(
-                    params,
-                    corpus[query_id].image_features,
-                    [batch_docs[i]],
-                    in_batch,
-                    extra,
-                )
-                epoch_loss += loss
-                g_q += gq
-                g_d += gd
+        for batch in batches:
+            loss, g_q, g_d = _batch_loss(params, *batch)
+            epoch_loss += loss
             lr = config.learning_rate
             params.w_q -= lr * g_q + lr * config.weight_decay * params.w_q
             params.w_d -= lr * g_d + lr * config.weight_decay * params.w_d
@@ -290,9 +383,10 @@ def _run_epochs(params, corpus, examples, config, rng, log, stage, hard_negs, va
     return params
 
 
-def train(corpus, pairs, config, embedding_dim=256, temperature=0.01):
+def train(corpus, pairs, config):
     """Mini-batch gradient descent with decoupled weight decay on mined pairs.
 
+    Each batch takes one softmax over its in-batch documents (`_batch_loss`).
     Stage 1 uses in-batch negatives only; if hard_negative_k > 0, a second
     stage re-mines the top-k retrieved non-positive documents per query and
     continues training with them as extra negatives. Early stopping watches
@@ -312,8 +406,12 @@ def train(corpus, pairs, config, embedding_dim=256, temperature=0.01):
     if not examples:
         raise NoPositives("pair set is empty")
 
+    inputs = _stack_inputs(corpus, examples)
+
     rng = np.random.default_rng(config.seed)
-    params = init_params(config.seed, corpus.d_img, corpus.d_txt, embedding_dim, temperature)
+    params = init_params(
+        config.seed, corpus.d_img, corpus.d_txt, config.embedding_dim, config.temperature
+    )
     log = []
     # Relevant train documents per validation query; they never change.
     val_judgments = judge_relevance(
@@ -323,12 +421,13 @@ def train(corpus, pairs, config, embedding_dim=256, temperature=0.01):
         query_split="validation",
     )
     params = _run_epochs(
-        params, corpus, examples, config, rng, log, "in_batch", None, val_judgments
+        params, corpus, inputs, examples, config, rng, log, "in_batch", None, val_judgments
     )
     if config.hard_negative_k > 0:
         hard = _hard_negatives(params, corpus, pairs, config.hard_negative_k)
         params = _run_epochs(
-            params, corpus, examples, config, rng, log, "hard_negative", hard, val_judgments
+            params, corpus, inputs, examples, config, rng, log, "hard_negative", hard,
+            val_judgments,
         )
     return params, log
 

@@ -3,7 +3,7 @@
 import json
 from dataclasses import dataclass, field
 
-from .errors import EmptyCandidateSet, MissingResult
+from .errors import EmptyCandidateSet, MalformedArtifact, MissingResult
 from .metrics import chexbert_instance, chexbert_micro, factual_similarity, rouge_l
 from .mining import MiningConfig, candidate_pairs
 
@@ -127,12 +127,31 @@ def write_run(run, path):
 
 
 def read_run(path):
-    with open(path, encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
+    """Read a file written by write_run.
+
+    Raises MalformedArtifact, naming the line, unless the header is a JSON
+    object and every result line is UTF-8 with four tab-separated fields,
+    an integer rank and a float score.
+    """
+    with open(path, "rb") as fh:
+        try:
+            header = json.loads(fh.readline())
+        except ValueError:
+            header = None
+        if not isinstance(header, dict):
+            raise MalformedArtifact(path, "line 1: run header is not a JSON object")
         results = {}
-        for line in fh:
-            if not line.strip():
-                continue
-            query_id, rank, doc_id, score = line.rstrip("\n").split("\t")
-            results.setdefault(query_id, []).append((doc_id, float(score)))
+        for line_no, raw in enumerate(fh, start=2):
+            try:
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
+                query_id, rank, doc_id, score = line.rstrip("\n").split("\t")
+                int(rank)  # line order gives the rank; the field is only checked
+                result = (doc_id, float(score))
+            except ValueError:
+                raise MalformedArtifact(
+                    path, f"line {line_no}: expected UTF-8 query, integer rank, doc and score"
+                ) from None
+            results.setdefault(query_id, []).append(result)
     return RetrievalRun(results, header.get("provenance", {}))

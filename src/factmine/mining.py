@@ -3,7 +3,7 @@
 import json
 from dataclasses import dataclass, field, asdict
 
-from .errors import EmptyTrainSplit, InvalidConfig
+from .errors import EmptyTrainSplit, InvalidConfig, MalformedArtifact
 from .metrics import chexbert_instance, factual_similarity
 
 SELF_RANK = 0  # rank reserved for the query's own report when include_self
@@ -140,15 +140,31 @@ def write_pairs(pair_set, path):
 
 
 def read_pairs(path):
-    with open(path, encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
-        config = MiningConfig(**header["config"])
+    """Read a file written by write_pairs.
+
+    Raises MalformedArtifact, naming the line, unless the header is a JSON
+    object with a valid mining config and every pair line is UTF-8 with
+    five tab-separated fields, an integer rank and two float scores.
+    """
+    with open(path, "rb") as fh:
+        try:
+            header = json.loads(fh.readline())
+            config = MiningConfig(**header["config"])
+        except (ValueError, TypeError, KeyError):
+            raise MalformedArtifact(
+                path, "line 1: pairs header is not a JSON line with a mining config"
+            ) from None
         pairs = {}
-        for line in fh:
-            if not line.strip():
-                continue
-            query_id, doc_id, rank, rad, chex = line.rstrip("\n").split("\t")
-            pairs.setdefault(query_id, []).append(
-                MinedPair(doc_id, int(rank), float(rad), float(chex))
-            )
+        for line_no, raw in enumerate(fh, start=2):
+            try:
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
+                query_id, doc_id, rank, rad, chex = line.rstrip("\n").split("\t")
+                pair = MinedPair(doc_id, int(rank), float(rad), float(chex))
+            except ValueError:
+                raise MalformedArtifact(
+                    path, f"line {line_no}: expected UTF-8 query, doc, integer rank and two scores"
+                ) from None
+            pairs.setdefault(query_id, []).append(pair)
     return PairSet(pairs, config, header.get("stats", {}))

@@ -126,7 +126,66 @@ def assert_mapped_error(code, capsys, error):
     assert code == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert json.loads(err.strip())["error"] == error
+    record = json.loads(err.strip())
+    assert record["error"] == error
+    return record
+
+
+def test_unknown_config_file_key_is_mapped_error(workdir, capsys):
+    (workdir / "mine.cfg").write_text(
+        "corpus = corpus.jsonl\npairs = pairs.tsv\nextra_key = 7\n"
+    )
+    record = assert_mapped_error(main(["mine", "--config", "mine.cfg"]), capsys, "InvalidConfig")
+    assert "extra_key" in record["message"]
+    assert not (workdir / "pairs.tsv").exists()
+
+
+@pytest.mark.parametrize("artifact, line_no, text", [
+    ("run.tsv", 2, "garbage line"),
+    ("run.tsv", 3, "s00001\tfirst\ts00002\t0.5"),
+    ("run.tsv", 3, "s00001\t1\ts00002\thigh"),
+    ("run.tsv", 1, "not json"),
+    ("pairs.tsv", 2, "s00001\ts00002\t1\t0.5"),
+    ("pairs.tsv", 2, "s00001\ts00002\tone\t0.5\t1.0"),
+    ("pairs.tsv", 3, "s00001\ts00002\t1\t0.5\tall"),
+    ("pairs.tsv", 1, "not json"),
+], ids=["run-field-count", "run-rank", "run-score", "run-header", "pairs-field-count",
+        "pairs-rank", "pairs-score", "pairs-header"])
+def test_malformed_pair_or_run_line_is_mapped_error(workdir, capsys, artifact, line_no, text):
+    run_pipeline()
+    lines = (workdir / artifact).read_text().splitlines()
+    lines[line_no - 1] = text
+    bad = "bad_" + artifact
+    (workdir / bad).write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    if artifact == "run.tsv":
+        argv = ["eval", "--corpus", "corpus.jsonl", "--run", bad, "--output", "bad.json"]
+    else:
+        argv = ["train", "--corpus", "corpus.jsonl", "--pairs", bad, "--checkpoint", "bad.ckpt",
+                "--seed", "7"]
+    record = assert_mapped_error(main(argv), capsys, "MalformedArtifact")
+    assert record["message"].startswith(f"{bad}: line {line_no}: ")
+
+
+@pytest.mark.parametrize("artifact, line", [
+    ("run.tsv", b"s00001\t1\ts\xff\t0.5\n"),
+    ("pairs.tsv", b"s00001\ts\xff\t1\t0.5\t0.5\n"),
+])
+def test_non_utf8_line_is_mapped_error(workdir, capsys, artifact, line):
+    run_pipeline()
+    header, *lines = (workdir / artifact).read_bytes().splitlines(keepends=True)
+    # past the first 8 KiB, which a text-mode reader decodes with the header
+    body = lines * (1 + 8192 // len(b"".join(lines))) + [line]
+    bad = "bad_" + artifact
+    (workdir / bad).write_bytes(header + b"".join(body))
+    capsys.readouterr()
+    if artifact == "run.tsv":
+        argv = ["eval", "--corpus", "corpus.jsonl", "--run", bad, "--output", "bad.json"]
+    else:
+        argv = ["train", "--corpus", "corpus.jsonl", "--pairs", bad, "--checkpoint", "bad.ckpt",
+                "--seed", "7"]
+    record = assert_mapped_error(main(argv), capsys, "MalformedArtifact")
+    assert record["message"].startswith(f"{bad}: line {len(body) + 1}: ")
 
 
 def retrieve(index):

@@ -8,6 +8,8 @@ from factmine.corpus import synth_corpus
 from factmine.encoder import (
     EncoderParams,
     TrainConfig,
+    _batch_loss,
+    _stack_inputs,
     contrastive_loss,
     encode_doc,
     encode_query,
@@ -129,21 +131,27 @@ def test_loss_requires_positive_and_negative():
         contrastive_loss(params, np.ones(4), [doc], [])
 
 
-def finite_difference_grads(params, x, positives, negatives, h=1e-5):
-    """Central differences over every parameter entry (independent oracle)."""
+def central_differences(params, loss_of, h=1e-5):
+    """Central differences of loss_of(params) over every parameter entry (independent oracle)."""
     grads = []
     for w in (params.w_q, params.w_d):
         g = np.zeros_like(w)
         for idx in np.ndindex(w.shape):
             orig = w[idx]
             w[idx] = orig + h
-            up, _, _ = contrastive_loss(params, x, positives, negatives)
+            up = loss_of(params)
             w[idx] = orig - h
-            down, _, _ = contrastive_loss(params, x, positives, negatives)
+            down = loss_of(params)
             w[idx] = orig
             g[idx] = (up - down) / (2 * h)
         grads.append(g)
     return grads
+
+
+def finite_difference_grads(params, x, positives, negatives, h=1e-5):
+    return central_differences(
+        params, lambda p: contrastive_loss(p, x, positives, negatives)[0], h
+    )
 
 
 def max_relative_error(analytic, numeric):
@@ -183,6 +191,145 @@ def test_loss_decreases_under_small_step():
     pytest.fail("no descent even at tiny step size")
 
 
+# --- batched training loss -------------------------------------------------
+
+
+def summed_reference_loss(params, x, z, hard=None, hard_mask=None):
+    """Sum of contrastive_loss over a batch's rows, skipping rows without negatives."""
+    split = lambda row: (row[: params.d_img], row[params.d_img :])
+    docs = [split(row) for row in z]
+    loss, g_q, g_d = 0.0, np.zeros_like(params.w_q), np.zeros_like(params.w_d)
+    for i in range(len(x)):
+        in_batch = docs[:i] + docs[i + 1 :]
+        extra = [] if hard is None else [split(row) for row in hard[i][hard_mask[i]]]
+        if not in_batch and not extra:
+            continue
+        l, gq, gd = contrastive_loss(params, x[i], [docs[i]], in_batch, extra)
+        loss, g_q, g_d = loss + l, g_q + gq, g_d + gd
+    return loss, g_q, g_d
+
+
+def entry_error(got, want):
+    """Largest absolute difference, relative to the reference's largest entry."""
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@pytest.fixture(scope="module")
+def synth_batch_inputs():
+    corpus, pairs = small_training_setup(seed=0, n=300)
+    examples = [(q, p.doc_id) for q, entries in sorted(pairs.pairs.items()) for p in entries]
+    rows, x, z = _stack_inputs(corpus, examples)
+    params = init_params(0, corpus.d_img, corpus.d_txt, 256, temperature=0.01)
+    return params, examples, rows, x, z
+
+
+def gather(inputs, batch, hard_counts=None, h=3, seed=0):
+    """_batch_loss inputs for examples `batch`, with ragged random hard negatives."""
+    params, examples, rows, x, z = inputs
+    query_rows = [rows[examples[i][0]] for i in batch]
+    doc_rows = [rows[examples[i][1]] for i in batch]
+    if hard_counts is None:
+        return x[query_rows], z[doc_rows], None, None
+    rng = np.random.default_rng(seed)
+    hard_rows = rng.choice(len(z), size=(len(batch), h))
+    mask = np.arange(h) < np.asarray(hard_counts)[:, None]
+    hard_rows[~mask] = np.repeat(doc_rows, h).reshape(len(batch), h)[~mask]
+    return x[query_rows], z[doc_rows], z[hard_rows], mask
+
+
+@pytest.mark.parametrize("case", ["in_batch", "duplicates", "ragged_hard", "single_with_extras"])
+def test_batch_loss_equals_summed_reference(synth_batch_inputs, case):
+    params, examples = synth_batch_inputs[:2]
+    rng = np.random.default_rng(7)
+    batch = list(rng.choice(len(examples), size=32, replace=False))
+    hard_counts = None
+    if case == "duplicates":
+        batch = batch[:20] + batch[:12]  # every doc of the first 12 rows twice
+    elif case == "ragged_hard":
+        batch = batch[:24] + batch[:8]
+        hard_counts = rng.integers(0, 4, size=len(batch))
+        hard_counts[:4] = [0, 1, 2, 3]
+    elif case == "single_with_extras":
+        batch, hard_counts = batch[:1], [2]
+    inputs = gather(synth_batch_inputs, batch, hard_counts)
+    got = _batch_loss(params, *inputs)
+    want = summed_reference_loss(params, *inputs)
+    assert want[0] > 0
+    assert abs(got[0] - want[0]) <= 1e-12 * abs(want[0])
+    assert entry_error(got[1], want[1]) <= 1e-12
+    assert entry_error(got[2], want[2]) <= 1e-12
+
+
+@pytest.mark.parametrize("hard_counts", [None, [0]])
+def test_batch_loss_skips_row_without_negatives(synth_batch_inputs, hard_counts):
+    params = synth_batch_inputs[0]
+    loss, g_q, g_d = _batch_loss(params, *gather(synth_batch_inputs, [5], hard_counts))
+    assert loss == 0.0
+    assert not g_q.any() and not g_d.any()
+
+
+def test_batch_loss_matches_reference_on_adversarial_batches():
+    """Tiny temperatures, feature scales over ten orders of magnitude, documents
+    repeated within and across the in-batch and hard blocks."""
+    rng = np.random.default_rng(11)
+    for trial in range(300):
+        d_img, d_txt = (int(v) for v in rng.integers(2, 7, size=2))
+        tau = float(np.exp(rng.uniform(np.log(0.01), np.log(2.0))))
+        params = init_params(trial, d_img, d_txt, int(rng.integers(2, 9)), temperature=tau)
+        b, h = int(rng.integers(1, 9)), int(rng.integers(0, 4))
+        n_distinct = int(rng.integers(1, b + h + 1))
+        scale = lambda n: np.exp(rng.uniform(-5, 5, size=(n, 1)))
+        pool = rng.normal(size=(n_distinct, d_img + d_txt)) * scale(n_distinct)
+        x = rng.normal(size=(b, d_img)) * scale(b)
+        z = pool[rng.integers(0, n_distinct, size=b)]
+        hard = mask = None
+        if h:
+            hard = pool[rng.integers(0, n_distinct, size=(b, h))]
+            mask = np.arange(h) < rng.integers(0, h + 1, size=(b, 1))
+        got = _batch_loss(params, x, z, hard, mask)
+        want = summed_reference_loss(params, x, z, hard, mask)
+        assert abs(got[0] - want[0]) <= 1e-9 * abs(want[0])
+        for g, w in zip(got[1:], want[1:]):
+            # Where the reference gradient is a difference of equal terms (a
+            # duplicate of the positive carries the softmax), its largest entry
+            # is rounding noise and only the absolute error means anything.
+            assert np.max(np.abs(g - w)) <= max(1e-9 * np.max(np.abs(w)), 1e-12)
+
+
+def test_batch_loss_one_distinct_document_cancels():
+    rng = np.random.default_rng(12)
+    params = init_params(12, 4, 3, 6, temperature=0.01)
+    doc = rng.normal(size=7)
+    x = rng.normal(size=(5, 4))
+    z = np.tile(doc, (5, 1))
+    hard, mask = np.tile(doc, (5, 2, 1)), np.ones((5, 2), dtype=bool)
+    got = _batch_loss(params, x, z, hard, mask)
+    want = summed_reference_loss(params, x, z, hard, mask)
+    assert got[0] == pytest.approx(5 * math.log(7), rel=1e-12)
+    assert want[0] == pytest.approx(5 * math.log(7), rel=1e-12)
+    for g, w in zip(got[1:], want[1:]):
+        assert np.max(np.abs(g - w)) <= 1e-12
+
+
+def test_batch_loss_gradients_match_finite_differences():
+    rng = np.random.default_rng(43)
+    for trial in range(10):
+        d_img, d_txt = (int(v) for v in rng.integers(2, 6, size=2))
+        params = init_params(trial, d_img, d_txt, int(rng.integers(2, 9)), temperature=0.5)
+        b, h = int(rng.integers(1, 5)), int(rng.integers(0, 3))
+        docs = rng.normal(size=(b + h, d_img + d_txt))
+        x = rng.normal(size=(b, d_img))
+        z = docs[rng.integers(0, len(docs), size=b)]
+        hard = mask = None
+        if h:
+            hard = docs[rng.integers(0, len(docs), size=(b, h))]
+            mask = np.arange(h) < rng.integers(0, h + 1, size=(b, 1))
+        _, gq, gd = _batch_loss(params, x, z, hard, mask)
+        fq, fd = central_differences(params, lambda p: _batch_loss(p, x, z, hard, mask)[0])
+        assert max_relative_error(gq, fq) < 1e-4
+        assert max_relative_error(gd, fd) < 1e-4
+
+
 # --- training --------------------------------------------------------------
 
 
@@ -194,8 +341,8 @@ def small_training_setup(seed=0, n=100):
 
 def test_train_zero_learning_rate_is_identity():
     corpus, pairs = small_training_setup()
-    config = TrainConfig(learning_rate=0.0, max_epochs=2, seed=1)
-    params, log = train(corpus, pairs, config, embedding_dim=16)
+    config = TrainConfig(learning_rate=0.0, max_epochs=2, seed=1, embedding_dim=16)
+    params, log = train(corpus, pairs, config)
     baseline = init_params(1, corpus.d_img, corpus.d_txt, 16)
     np.testing.assert_array_equal(params.w_q, baseline.w_q)
     np.testing.assert_array_equal(params.w_d, baseline.w_d)
@@ -205,9 +352,9 @@ def test_train_zero_learning_rate_is_identity():
 
 def test_train_deterministic_under_seed():
     corpus, pairs = small_training_setup()
-    config = TrainConfig(learning_rate=0.05, max_epochs=3, seed=5)
-    params_a, log_a = train(corpus, pairs, config, embedding_dim=16)
-    params_b, log_b = train(corpus, pairs, config, embedding_dim=16)
+    config = TrainConfig(learning_rate=0.05, max_epochs=3, seed=5, embedding_dim=16)
+    params_a, log_a = train(corpus, pairs, config)
+    params_b, log_b = train(corpus, pairs, config)
     np.testing.assert_array_equal(params_a.w_q, params_b.w_q)
     np.testing.assert_array_equal(params_a.w_d, params_b.w_d)
     strip = lambda log: [
@@ -218,8 +365,8 @@ def test_train_deterministic_under_seed():
 
 def test_train_improves_validation_mrr():
     corpus, pairs = small_training_setup(seed=11, n=140)
-    config = TrainConfig(learning_rate=0.05, max_epochs=5, seed=11)
-    params, log = train(corpus, pairs, config, embedding_dim=32)
+    config = TrainConfig(learning_rate=0.05, max_epochs=5, seed=11, embedding_dim=32)
+    params, log = train(corpus, pairs, config)
     from factmine.encoder import _validation_mrr
     from factmine.evaluator import judge_relevance
 
@@ -239,12 +386,27 @@ def test_train_rejects_non_train_pairs(tiny_corpus):
         train(tiny_corpus, pairs, TrainConfig(seed=0))
 
 
+def test_train_names_paired_document_without_text(tiny_corpus):
+    from dataclasses import replace
+
+    from factmine.mining import MinedPair, PairSet
+
+    records = [
+        replace(r, text_features=None) if r.report_id == "s2" else r
+        for r in tiny_corpus.records
+    ]
+    corpus = type(tiny_corpus)(records, tiny_corpus.d_img, tiny_corpus.d_txt)
+    pairs = PairSet({"s1": [MinedPair("s2", 1, 0.5, 1.0)]}, MiningConfig())
+    with pytest.raises(MissingTextFeatures, match="'s2'"):
+        train(corpus, pairs, TrainConfig(seed=0))
+
+
 def test_hard_negative_stage_runs():
     corpus, pairs = small_training_setup(seed=2, n=80)
     config = TrainConfig(
-        learning_rate=0.05, max_epochs=2, seed=2, hard_negative_k=3
+        learning_rate=0.05, max_epochs=2, seed=2, hard_negative_k=3, embedding_dim=16
     )
-    params, log = train(corpus, pairs, config, embedding_dim=16)
+    params, log = train(corpus, pairs, config)
     stages = {entry["stage"] for entry in log}
     assert stages == {"in_batch", "hard_negative"}
 
