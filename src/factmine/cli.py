@@ -99,10 +99,17 @@ def _defaults(cls):
 
 
 def _cast(config, name, kind):
-    try:
-        return kind(config[name])
-    except ValueError:
-        raise InvalidConfig(f"{name} must be {kind.__name__}, got {config[name]!r}") from None
+    """config[name] as kind: a bool only from true/false, an int only from an integral number."""
+    value = config[name]
+    if kind is bool:
+        if isinstance(value, bool):
+            return value
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        if kind is float:
+            return float(value)
+        if float(value).is_integer():
+            return int(value)
+    raise InvalidConfig(f"{name} must be {kind.__name__}, got {value!r}")
 
 
 def _build(cls, config):
@@ -122,8 +129,8 @@ def cmd_mine(config):
 def cmd_sweep(config):
     grid = [
         _build(MiningConfig, {**config, "chexbert_threshold": c, "radgraph_threshold": r})
-        for c in str(config["chexbert_grid"]).split(",")
-        for r in str(config["radgraph_grid"]).split(",")
+        for c in map(_parse_scalar, str(config["chexbert_grid"]).split(","))
+        for r in map(_parse_scalar, str(config["radgraph_grid"]).split(","))
     ]
     corpus = load_corpus(config["corpus"])
     rows = threshold_sweep(corpus, grid)

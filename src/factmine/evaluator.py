@@ -3,9 +3,11 @@
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import EmptyCandidateSet, MalformedArtifact, MissingResult
-from .metrics import chexbert_instance, chexbert_micro, factual_similarity, rouge_l
-from .mining import MiningConfig, candidate_pairs
+from .metrics import chexbert_micro, factual_similarity, rouge_l
+from .mining import MiningConfig, _fact_index, candidate_pairs
 
 
 @dataclass
@@ -95,23 +97,18 @@ def oracle_retrieve(corpus, query_id):
     """Ground-truth argmax of summed label agreement and graph overlap.
 
     Candidates come from the train split, never the query itself. Ties
-    break by ascending doc_id. Returns (doc_id, summed score).
+    break by ascending doc_id. Returns (doc_id, summed score), the score
+    equal to chexbert_instance + factual_similarity of the pick.
     """
     query = corpus[query_id]
-    best_id = None
-    best_sum = -1.0
-    for doc in corpus.split("train"):
-        if doc.report_id == query.report_id:
-            continue
-        total = chexbert_instance(query.labels, doc.labels) + factual_similarity(
-            query.graph, doc.graph
-        )
-        if total > best_sum or (total == best_sum and doc.report_id < best_id):
-            best_sum = total
-            best_id = doc.report_id
-    if best_id is None:
+    index = _fact_index(corpus.split("train"))
+    agree, rad, others = index.scores(query)
+    if not others.any():
         raise EmptyCandidateSet(f"no oracle candidates for query {query_id!r}")
-    return best_id, best_sum
+    total = np.where(others, agree + rad, -np.inf)
+    best = np.flatnonzero(total == total.max())
+    row = best[np.argmin(index.rank[best])]
+    return index.ids[row], float(total[row])
 
 
 # --- run file io -----------------------------------------------------------

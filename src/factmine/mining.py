@@ -3,8 +3,10 @@
 import json
 from dataclasses import dataclass, field, asdict
 
-from .errors import EmptyTrainSplit, InvalidConfig, MalformedArtifact
-from .metrics import chexbert_instance, factual_similarity
+import numpy as np
+
+from .errors import EmptyTrainSplit, InvalidConfig, LengthMismatch, MalformedArtifact
+from .metrics import fact_items
 
 SELF_RANK = 0  # rank reserved for the query's own report when include_self
 
@@ -45,25 +47,108 @@ class PairSet:
         return [p.doc_id for p in self.pairs[query_id]]
 
 
+class _FactIndex:
+    """A docs list as arrays, for scoring one query against every doc at once.
+
+    Each fact item gets an integer id; `postings[starts[i]:starts[i + 1]]`
+    are the rows whose graph holds item i. `sizes` counts each row's items,
+    `labels` is the (n, 5) label matrix and `rank` each row's place in
+    ascending doc_id order.
+    """
+
+    def __init__(self, docs):
+        self.docs = list(docs)  # holds the records, so no id in the cache key is reused
+        self.ids = [doc.report_id for doc in self.docs]
+        n = len(self.ids)
+        self.vocab = {}
+        item_ids, item_rows, sizes = [], [], []
+        for row, doc in enumerate(self.docs):
+            if len(doc.labels) != 5:
+                raise LengthMismatch(
+                    f"label vectors must have 5 entries, got {len(doc.labels)} for {doc.report_id!r}"
+                )
+            items = fact_items(doc.graph)
+            sizes.append(len(items))
+            item_ids.extend(self.vocab.setdefault(item, len(self.vocab)) for item in items)
+            item_rows.extend([row] * len(items))
+        item_ids = np.array(item_ids, dtype=np.intp)
+        self.postings = np.array(item_rows, dtype=np.intp)[np.argsort(item_ids, kind="stable")]
+        self.starts = np.zeros(len(self.vocab) + 1, dtype=np.intp)
+        np.cumsum(np.bincount(item_ids, minlength=len(self.vocab)), out=self.starts[1:])
+        self.sizes = np.array(sizes, dtype=np.float64)
+        self.labels = np.array([doc.labels for doc in self.docs], dtype=np.int8).reshape(n, 5)
+        self.rank = np.empty(n, dtype=np.intp)
+        self.rank[sorted(range(n), key=self.ids.__getitem__)] = np.arange(n)
+        self.rows = {}
+        for row, doc_id in enumerate(self.ids):
+            self.rows.setdefault(doc_id, []).append(row)
+
+    def scores(self, query):
+        """(agree, rad, others) of `query` against every row.
+
+        agree and rad are bit-equal to chexbert_instance and
+        factual_similarity: the same integer-valued float operations in the
+        same order. others masks out the rows carrying the query's own id.
+        """
+        if len(query.labels) != 5:
+            raise LengthMismatch(f"label vectors must have 5 entries, got {len(query.labels)}")
+        n = len(self.ids)
+        agree = (self.labels == np.array(query.labels, dtype=np.int8)).sum(axis=1) / 5.0
+        items = fact_items(query.graph)
+        hits = [self.vocab[item] for item in items if item in self.vocab]
+        inter = np.bincount(
+            np.concatenate([self.postings[self.starts[i]:self.starts[i + 1]] for i in hits]),
+            minlength=n,
+        ) if hits else np.zeros(n)
+        denom = len(items) + self.sizes
+        rad = np.divide(2.0 * inter, denom, out=np.zeros(n), where=denom > 0)
+        others = np.ones(n, dtype=bool)
+        others[self.rows.get(query.report_id, [])] = False
+        return agree, rad, others
+
+
+_cached_index = None  # (tuple of the docs' ids, _FactIndex): the last docs list indexed
+
+
+def _fact_index(docs):
+    """The _FactIndex of docs, reused while the same records come in the same order.
+
+    Records are taken as unchanged once indexed. The cache entry is
+    replaced in one assignment, so concurrent callers see a whole entry.
+    """
+    global _cached_index
+    key = tuple(map(id, docs))
+    cached = _cached_index
+    if cached is None or cached[0] != key:
+        cached = (key, _FactIndex(docs))
+        _cached_index = cached
+    return cached[1]
+
+
+def _kept(scores, config):
+    """Mask of the rows that pass config's two thresholds, self excluded."""
+    agree, rad, others = scores
+    return others & (agree >= config.chexbert_threshold) & (rad > config.radgraph_threshold)
+
+
+def _candidates(index, query, config, limit=None):
+    """The first `limit` (default: all) of candidate_pairs(query, docs, config) over docs' index."""
+    scores = index.scores(query)
+    agree, rad, _ = scores
+    rows = np.flatnonzero(_kept(scores, config))
+    rows = rows[np.lexsort((index.rank[rows], -rad[rows]))][:limit]
+    return list(zip([index.ids[r] for r in rows], rad[rows].tolist(), agree[rows].tolist()))
+
+
 def candidate_pairs(query, docs, config):
     """Filtered, reranked candidates for one query (pre-truncation).
 
     Candidates must share labels up to the CheXbert threshold (>=) and
     exceed the graph-overlap threshold (strict >). Ordered by descending
-    graph overlap, ties by ascending doc_id.
+    graph overlap, ties by ascending doc_id. Scores equal chexbert_instance
+    and factual_similarity of each pair.
     """
-    kept = []
-    for doc in docs:
-        if doc.report_id == query.report_id:
-            continue
-        chex = chexbert_instance(query.labels, doc.labels)
-        if chex < config.chexbert_threshold:
-            continue
-        rad = factual_similarity(query.graph, doc.graph)
-        if rad > config.radgraph_threshold:
-            kept.append((doc.report_id, rad, chex))
-    kept.sort(key=lambda t: (-t[1], t[0]))
-    return kept
+    return _candidates(_fact_index(docs), query, config)
 
 
 def mine_pairs(corpus, config):
@@ -71,11 +156,12 @@ def mine_pairs(corpus, config):
     train = corpus.split("train")
     if len(train) < 2:
         raise EmptyTrainSplit(f"train split has {len(train)} records, need >= 2")
+    index = _fact_index(train)
     pairs = {}
     n_mined = 0
     n_zero = 0
     for query in train:
-        kept = candidate_pairs(query, train, config)[: config.top_k]
+        kept = _candidates(index, query, config, config.top_k)
         entries = []
         if config.include_self:
             # The query's own report is always a positive, by convention a
@@ -102,29 +188,36 @@ def threshold_sweep(corpus, grid):
 
     Reports pre-truncation counts so the threshold-exclusion effect is
     visible without the top-k cap; the truncated mean is the same count
-    capped at top_k, as mine_pairs reports it.
+    capped at top_k, as mine_pairs reports it. Each query is scored once
+    and counted in every grid cell.
     """
     if not grid:
         raise ValueError("empty threshold grid")
     train = corpus.split("train")
     if len(train) < 2:
         raise EmptyTrainSplit(f"train split has {len(train)} records, need >= 2")
-    rows = []
-    for config in grid:
-        counts = [len(candidate_pairs(query, train, config)) for query in train]
-        rows.append(
-            {
-                "chexbert_threshold": config.chexbert_threshold,
-                "radgraph_threshold": config.radgraph_threshold,
-                "top_k": config.top_k,
-                "mean_pairs_per_query": sum(counts) / len(train),
-                "zero_pair_fraction": counts.count(0) / len(train),
-                "mean_pairs_per_query_truncated": (
-                    sum(min(n, config.top_k) for n in counts) / len(train)
-                ),
-            }
-        )
-    return rows
+    index = _fact_index(train)
+    pairs = [0] * len(grid)
+    zeros = [0] * len(grid)
+    truncated = [0] * len(grid)
+    for query in train:
+        scores = index.scores(query)
+        for cell, config in enumerate(grid):
+            n = int(np.count_nonzero(_kept(scores, config)))
+            pairs[cell] += n
+            zeros[cell] += n == 0
+            truncated[cell] += min(n, config.top_k)
+    return [
+        {
+            "chexbert_threshold": config.chexbert_threshold,
+            "radgraph_threshold": config.radgraph_threshold,
+            "top_k": config.top_k,
+            "mean_pairs_per_query": pairs[cell] / len(train),
+            "zero_pair_fraction": zeros[cell] / len(train),
+            "mean_pairs_per_query_truncated": truncated[cell] / len(train),
+        }
+        for cell, config in enumerate(grid)
+    ]
 
 
 def write_pairs(pair_set, path):

@@ -4,7 +4,7 @@ import json
 from dataclasses import dataclass
 
 from .encoder import encode_query
-from .errors import EmptyCandidateSet, InvalidConfig
+from .errors import EmptyCandidateSet, InvalidConfig, MalformedArtifact
 from .evaluator import oracle_retrieve
 from .index import build_index, search
 
@@ -94,14 +94,20 @@ def write_rag_dataset(examples, path):
 
 
 def read_rag_dataset(path):
+    """Read a file written by write_rag_dataset.
+
+    Raises MalformedArtifact, naming the line, unless every line is UTF-8
+    JSON: an object with all six keys.
+    """
     examples = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            examples.append(
-                RagExample(
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
+                obj = json.loads(line)
+                example = RagExample(
                     query_report_id=obj["id"],
                     image_ref=obj["image"],
                     retrieved_doc_id=obj["retrieved_id"],
@@ -109,5 +115,11 @@ def read_rag_dataset(path):
                     target_text=obj["target"],
                     mode=obj["mode"],
                 )
-            )
+            except (ValueError, TypeError, KeyError):
+                raise MalformedArtifact(
+                    path,
+                    f"line {line_no}: expected a UTF-8 JSON object with keys "
+                    "id, image, prompt, target, retrieved_id and mode",
+                ) from None
+            examples.append(example)
     return examples

@@ -285,8 +285,10 @@ def test_sidecar_config_records_defaults(workdir):
       "--batch-size", "0"], "InvalidConfig"),
     (["score", "--a", "nope", "--b", "s00001"], "UnknownId"),
     (["build-rag", "--output", "bad.jsonl", "--mode", "bogus"], "InvalidConfig"),
+    (["mine", "--pairs", "bad.tsv", "--top-k", "2.9"], "InvalidConfig"),
+    (["mine", "--pairs", "bad.tsv", "--include-self", "maybe"], "InvalidConfig"),
 ], ids=["threshold-out-of-range", "top-k-not-int", "k-zero", "batch-size-zero", "unknown-id",
-        "unknown-mode"])
+        "unknown-mode", "top-k-not-integral", "include-self-not-bool"])
 def test_bad_option_or_id_is_mapped_error(workdir, capsys, argv, error):
     run_pipeline()
     capsys.readouterr()

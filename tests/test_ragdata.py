@@ -1,7 +1,10 @@
+import json
+
 import pytest
 
 from factmine.corpus import synth_corpus
 from factmine.encoder import init_params
+from factmine.errors import MalformedArtifact
 from factmine.evaluator import oracle_retrieve
 from factmine.index import ExclusionPolicy
 from factmine.ragdata import (
@@ -108,3 +111,30 @@ def test_build_is_deterministic_and_roundtrips(tmp_path):
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError):
         build_rag_dataset(synth_corpus(1, 5), None, POLICY, "freeform")
+
+
+def _without_id(line):
+    obj = json.loads(line)
+    del obj["id"]
+    return json.dumps(obj).encode() + b"\n"
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda line: b"garbage line\n",
+    lambda line: line[:-20] + b"\n",
+    lambda line: b"\xff" + line,
+    lambda line: b"[1, 2, 3]\n",
+    lambda line: b"null\n",
+    _without_id,
+], ids=["not-json", "truncated", "not-utf8", "array", "null", "missing-key"])
+def test_malformed_rag_line_names_file_and_line(tmp_path, corrupt):
+    corpus = synth_corpus(6, 10)
+    examples, _ = build_rag_dataset(corpus, None, POLICY, "oracle-rag")
+    path = tmp_path / "rag.jsonl"
+    write_rag_dataset(examples, path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[2] = corrupt(lines[2])
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(MalformedArtifact, match="line 3") as excinfo:
+        read_rag_dataset(path)
+    assert excinfo.value.path == str(path)
