@@ -9,7 +9,13 @@ from dataclasses import fields
 from . import __version__
 from .corpus import load_corpus
 from .encoder import TrainConfig, encode_query, load_params, save_params, train, write_training_log
-from .errors import DimensionMismatch, FactmineError, InvalidConfig, MissingResult
+from .errors import (
+    CheckpointMismatch,
+    DimensionMismatch,
+    FactmineError,
+    InvalidConfig,
+    MissingResult,
+)
 from .evaluator import (
     RetrievalRun,
     eval_retrieval,
@@ -25,8 +31,20 @@ from .mining import MiningConfig, mine_pairs, read_pairs, threshold_sweep, write
 from .ragdata import build_rag_dataset, write_rag_dataset
 
 
+# Options naming files, report ids, splits, modes or comma lists: their
+# values stay text, so `--pairs 1` names a file and `--a 00012` an id.
+_TEXT_OPTIONS = frozenset({
+    "corpus", "pairs", "checkpoint", "log", "index", "run", "output", "a", "b",
+    "split", "query_split", "mode", "chexbert_grid", "radgraph_grid",
+})
+
+
+def _option_value(key, text):
+    return text if key in _TEXT_OPTIONS else _parse_scalar(text)
+
+
 def read_config_file(path):
-    """Flat key = value config, '#' comments, JSON-style scalars."""
+    """Flat key = value config, '#' comments, JSON-style scalars; text options stay text."""
     config = {}
     with open(path, encoding="utf-8") as fh:
         for raw in fh:
@@ -34,7 +52,8 @@ def read_config_file(path):
             if not line:
                 continue
             key, _, value = line.partition("=")
-            config[key.strip()] = _parse_scalar(value.strip())
+            key = key.strip()
+            config[key] = _option_value(key, value.strip())
     return config
 
 
@@ -67,7 +86,7 @@ def resolve_config(args, defaults):
         value = getattr(args, key, None)
         if value is not None:
             # argparse hands every flag over as a string
-            config[key] = _parse_scalar(value) if isinstance(value, str) else value
+            config[key] = _option_value(key, value) if isinstance(value, str) else value
     return config
 
 
@@ -161,6 +180,7 @@ def cmd_index(config):
     corpus = load_corpus(config["corpus"])
     params = load_params(config["checkpoint"])
     index = build_index(corpus, params, config["split"])
+    index.checkpoint_sha256 = _sha256(config["checkpoint"])
     save_index(index, config["index"])
     write_provenance(config["index"], "index", config, [config["corpus"], config["checkpoint"]])
     return 0
@@ -176,6 +196,12 @@ def cmd_retrieve(config):
         raise DimensionMismatch(
             f"checkpoint embedding_dim {params.embedding_dim} != "
             f"index embedding_dim {index.matrix.shape[1]}"
+        )
+    checkpoint_sha256 = _sha256(config["checkpoint"])
+    if index.checkpoint_sha256 != checkpoint_sha256:
+        raise CheckpointMismatch(
+            f"{config['index']} was built from checkpoint sha256 {index.checkpoint_sha256}, "
+            f"but {config['checkpoint']} has sha256 {checkpoint_sha256}"
         )
     results = {}
     for rec in corpus.split(config["query_split"]):

@@ -7,6 +7,7 @@ are inputs here; the models that produce them live upstream.
 import json
 import re
 from dataclasses import dataclass, field
+from itertools import chain, product
 
 import numpy as np
 
@@ -41,7 +42,29 @@ def normalize_entity(token_text):
     return text.strip(".,;:!?()[]{}\"'")
 
 
-@dataclass(frozen=True)
+def _entity_error(text, label):
+    """Why (text, label) is not a valid entity, or None if it is one."""
+    if type(text) is not str:
+        return f"entity text {text!r} is not a string"
+    if label not in ENTITY_LABELS:
+        return f"unknown entity label {label!r}"
+    if not normalize_entity(text):
+        return f"entity text {text!r} empty after normalization"
+    return None
+
+
+def _relation_error(src, rel, dst, n):
+    """Why (src, rel, dst) is not a valid relation among n entities, or None."""
+    if type(src) is not int or type(dst) is not int:
+        return f"relation endpoints must be integers, got ({src!r}, {rel!r}, {dst!r})"
+    if rel not in RELATION_TYPES:
+        return f"unknown relation type {rel!r}"
+    if not (0 <= src < n and 0 <= dst < n):
+        return f"relation ({src}, {rel}, {dst}) out of range for {n} entities"
+    return None
+
+
+@dataclass(frozen=True, slots=True)
 class FactGraph:
     """Annotated entities and relations extracted from one report.
 
@@ -54,19 +77,15 @@ class FactGraph:
 
     def validate(self):
         n = len(self.entities)
-        for text, label in self.entities:
-            if label not in ENTITY_LABELS:
-                raise ValueError(f"unknown entity label {label!r}")
-            if not normalize_entity(text):
-                raise ValueError(f"entity text {text!r} empty after normalization")
-        for src, rel, dst in self.relations:
-            if rel not in RELATION_TYPES:
-                raise ValueError(f"unknown relation type {rel!r}")
-            if not (0 <= src < n and 0 <= dst < n):
-                raise ValueError(f"relation ({src}, {rel}, {dst}) out of range for {n} entities")
+        for reason in chain(
+            (_entity_error(text, label) for text, label in self.entities),
+            (_relation_error(src, rel, dst, n) for src, rel, dst in self.relations),
+        ):
+            if reason is not None:
+                raise ValueError(reason)
 
 
-@dataclass
+@dataclass(slots=True)
 class ReportRecord:
     report_id: str
     patient_id: str
@@ -76,15 +95,6 @@ class ReportRecord:
     graph: FactGraph
     image_features: np.ndarray
     text_features: np.ndarray = None  # optional: query-only records carry images only
-
-    def validate(self):
-        if self.split not in SPLITS:
-            raise ValueError(f"unknown split {self.split!r}")
-        if len(self.labels) != 5:
-            raise UnknownLabelArity(len(self.labels))
-        if any(v not in (0, 1) for v in self.labels):
-            raise ValueError(f"labels must be binary, got {self.labels}")
-        self.graph.validate()
 
 
 @dataclass
@@ -114,52 +124,135 @@ class Corpus:
         return [r for r in self.records if r.split == name]
 
 
-def _parse_record(obj, d_img, d_txt, line_no):
+# Every binary label vector, each mapped to itself so that records share it.
+_LABEL_VECTORS = {v: v for v in product((0, 1), repeat=5)}
+_LABEL_TYPES = [int] * 5
+
+
+class _Entities(dict):
+    """(text, label) pairs validated so far within one load, each mapped to
+    itself: a repeat costs one lookup and shares the first occurrence's tuple."""
+
+    def __missing__(self, item):
+        reason = (
+            f"entity {list(item)!r} is not a [text, label] pair"
+            if len(item) != 2
+            else _entity_error(*item)
+        )
+        if reason is not None:
+            raise ValueError(reason)
+        self[item] = item
+        return item
+
+
+class _RecordParser:
+    """Parses the records of one corpus file.
+
+    Each distinct entity and relation is validated once and its tuple is
+    shared by every record that repeats it. Feature values are checked for
+    finiteness afterwards by `_require_finite`, in one reduction over all
+    records.
+    """
+
+    def __init__(self, d_img, d_txt):
+        self.d_img = d_img
+        self.d_txt = d_txt
+        self.entities = _Entities()
+        self.relations = {}
+
+    def labels(self, value, line_no):
+        if type(value) is not list:
+            raise ValueError(f"labels must be a list, got {value!r}")
+        if len(value) != 5:
+            raise UnknownLabelArity(len(value), line_no)
+        labels = _LABEL_VECTORS.get(tuple(value)) if list(map(type, value)) == _LABEL_TYPES else None
+        if labels is None:
+            raise ValueError(f"labels must be binary integers, got {value}")
+        return labels
+
+    def graph(self, entities, relations):
+        entities = tuple(map(self.entities.__getitem__, map(tuple, entities)))
+        n = len(entities)
+        seen = self.relations
+        out = []
+        for item in relations:
+            src, rel, dst = item
+            key = (src, rel, dst)
+            hit = seen.get(key)
+            # 1, 1.0 and True are equal keys, so a hit still checks the
+            # endpoint types; the range depends on the record.
+            if hit is None or type(src) is not int or type(dst) is not int or src >= n or dst >= n:
+                reason = _relation_error(src, rel, dst, n)
+                if reason is not None:
+                    raise ValueError(reason)
+                hit = seen.setdefault(key, key)
+            out.append(hit)
+        return FactGraph(entities, tuple(out))
+
+    def record(self, obj, line_no):
+        """The record on line `line_no`, with every check but finiteness."""
+        try:
+            labels = self.labels(obj["labels"], line_no)
+            graph = self.graph(obj["entities"], obj["relations"])
+            img = np.asarray(obj["image_features"], dtype=np.float64)
+            txt = obj.get("text_features")
+            txt = None if txt is None else np.asarray(txt, dtype=np.float64)
+            rec = ReportRecord(
+                report_id=str(obj["report_id"]),
+                patient_id=str(obj["patient_id"]),
+                split=str(obj["split"]),
+                report_text=str(obj["report_text"]),
+                labels=labels,
+                graph=graph,
+                image_features=img,
+                text_features=txt,
+            )
+            if rec.split not in SPLITS:
+                raise ValueError(f"unknown split {rec.split!r}")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise MalformedRecord(line_no, str(exc)) from exc
+        if img.shape != (self.d_img,):
+            raise DimensionMismatch(
+                f"line {line_no}: image_features has dim {img.shape}, corpus dim is {self.d_img}"
+            )
+        if txt is not None and txt.shape != (self.d_txt,):
+            raise DimensionMismatch(
+                f"line {line_no}: text_features has dim {txt.shape}, corpus dim is {self.d_txt}"
+            )
+        return rec
+
+
+def _require_finite(records, line_nos):
+    """Raise MalformedRecord naming the first record with a NaN or infinite feature."""
+    values = [a for r in records for a in (r.image_features, r.text_features) if a is not None]
+    if not values or np.isfinite(np.concatenate(values)).all():
+        return
+    for rec, line_no in zip(records, line_nos):
+        for name in ("image_features", "text_features"):
+            value = getattr(rec, name)
+            if value is not None and not np.isfinite(value).all():
+                raise MalformedRecord(line_no, f"{name} has non-finite values")
+
+
+def _decode(raw, line_no):
     try:
-        labels = tuple(int(v) for v in obj["labels"])
-        if len(labels) != 5:
-            raise UnknownLabelArity(len(labels))
-        entities = tuple((str(t), str(l)) for t, l in obj["entities"])
-        relations = tuple((int(s), str(r), int(d)) for s, r, d in obj["relations"])
-        img = np.asarray(obj["image_features"], dtype=np.float64)
-        txt = obj.get("text_features")
-        txt = None if txt is None else np.asarray(txt, dtype=np.float64)
-        rec = ReportRecord(
-            report_id=str(obj["report_id"]),
-            patient_id=str(obj["patient_id"]),
-            split=str(obj["split"]),
-            report_text=str(obj["report_text"]),
-            labels=labels,
-            graph=FactGraph(entities, relations),
-            image_features=img,
-            text_features=txt,
-        )
-        rec.validate()
-    except UnknownLabelArity:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedRecord(line_no, str(exc)) from exc
-    if img.shape != (d_img,):
-        raise DimensionMismatch(
-            f"line {line_no}: image_features has dim {img.shape}, corpus dim is {d_img}"
-        )
-    if txt is not None and txt.shape != (d_txt,):
-        raise DimensionMismatch(
-            f"line {line_no}: text_features has dim {txt.shape}, corpus dim is {d_txt}"
-        )
-    return rec
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedRecord(line_no, f"not UTF-8: {exc}") from None
 
 
 def load_corpus(path):
     """Parse and validate a JSONL corpus file.
 
     The first line is a header carrying schema_version and the corpus-wide
-    feature dimensions; every following line is one record.
+    feature dimensions; every following line is one record. Raises a
+    FactmineError naming the line of the first invalid record; the checks
+    of each line run in the order of `_RecordParser.record`, then the
+    duplicate-id check, then finiteness of its features.
     """
-    with open(path, encoding="utf-8") as fh:
-        header_line = fh.readline()
+    with open(path, "rb") as fh:
         try:
-            header = json.loads(header_line)
+            header = json.loads(_decode(fh.readline(), 1))
             d_img = int(header["d_img"])
             d_txt = int(header["d_txt"])
             version = str(header["schema_version"])
@@ -167,20 +260,28 @@ def load_corpus(path):
             raise MalformedRecord(1, f"bad header: {exc}") from exc
         if version != SCHEMA_VERSION:
             raise MalformedRecord(1, f"schema_version {version!r}, expected {SCHEMA_VERSION!r}")
-        records = []
+        parser = _RecordParser(d_img, d_txt)
+        records, line_nos = [], []
         seen = set()
-        for line_no, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedRecord(line_no, f"invalid JSON: {exc}") from exc
-            rec = _parse_record(obj, d_img, d_txt, line_no)
-            if rec.report_id in seen:
-                raise DuplicateId(rec.report_id)
-            seen.add(rec.report_id)
-            records.append(rec)
+        try:
+            for line_no, raw in enumerate(fh, start=2):
+                line = _decode(raw, line_no)
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise MalformedRecord(line_no, f"invalid JSON: {exc}") from exc
+                rec = parser.record(obj, line_no)
+                if rec.report_id in seen:
+                    raise DuplicateId(rec.report_id, line_no)
+                seen.add(rec.report_id)
+                records.append(rec)
+                line_nos.append(line_no)
+        finally:
+            # Also when a later line failed: a non-finite feature on an
+            # earlier line comes first.
+            _require_finite(records, line_nos)
     return Corpus(records, d_img=d_img, d_txt=d_txt, schema_version=version)
 
 

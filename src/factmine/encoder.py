@@ -106,6 +106,16 @@ def _normalize(u):
     return u / norm, norm
 
 
+def _normalize_rows(u):
+    # Row-wise `_normalize` for training and document encoding; divides the
+    # fresh projection u in place. encode_query keeps the per-vector one.
+    norms = np.linalg.norm(u, axis=-1, keepdims=True)
+    if (norms < _NORM_FLOOR).any():
+        raise DegenerateEmbedding(f"projection norm {norms.min()} below {_NORM_FLOOR}")
+    u /= norms
+    return u, norms
+
+
 def encode_query(params, image_features):
     """Unit-norm embedding of a query's image features."""
     x = np.asarray(image_features, dtype=np.float64)
@@ -116,7 +126,10 @@ def encode_query(params, image_features):
 
 
 def encode_doc(params, image_features, text_features):
-    """Unit-norm embedding of a document's fused image+text features."""
+    """Unit-norm embedding of a document's fused image+text features.
+
+    The one-row case of `_encode_docs`, which build_index uses.
+    """
     if text_features is None:
         raise MissingTextFeatures("<unknown>")
     x = np.asarray(image_features, dtype=np.float64)
@@ -125,8 +138,26 @@ def encode_doc(params, image_features, text_features):
         raise DimensionMismatch(
             f"features have shapes {x.shape}/{t.shape}, expected ({params.d_img},)/({params.d_txt},)"
         )
-    e, _ = _normalize(params.w_d.T @ np.concatenate([x, t]))
+    return _encode_docs(params, np.concatenate([x, t])[None, :])[0]
+
+
+def _encode_docs(params, z):
+    """Unit-norm embeddings of the rows of z, each a document's [image | text] input."""
+    e, _ = _normalize_rows(z @ params.w_d)
     return e
+
+
+def _doc_inputs(records, d_img, d_txt):
+    """(n, d_img + d_txt) matrix of each record's [image | text] features.
+
+    A record without text features keeps zero text columns.
+    """
+    z = np.zeros((len(records), d_img + d_txt))
+    for i, r in enumerate(records):
+        z[i, :d_img] = r.image_features
+        if r.text_features is not None:
+            z[i, d_img:] = r.text_features
+    return z
 
 
 def _doc_input(doc):
@@ -194,15 +225,6 @@ def contrastive_loss(params, query_features, positives, in_batch_negatives, extr
 # --- training --------------------------------------------------------------
 
 
-def _normalize_rows(u):
-    # Row-wise `_normalize` for training; encode_query and encode_doc keep the
-    # per-vector one, so embeddings and search scores stay bit for bit the same.
-    norms = np.linalg.norm(u, axis=-1, keepdims=True)
-    if (norms < _NORM_FLOOR).any():
-        raise DegenerateEmbedding(f"projection norm {norms.min()} below {_NORM_FLOOR}")
-    return u / norms, norms
-
-
 def _batch_loss(params, x, z, hard, hard_mask):
     """Summed contrastive loss of one mini-batch and its exact gradients.
 
@@ -263,11 +285,7 @@ def _stack_inputs(corpus, examples):
             raise MissingTextFeatures(doc_id)
     records = corpus.split("train")
     rows = {r.report_id: i for i, r in enumerate(records)}
-    z = np.zeros((len(records), corpus.d_img + corpus.d_txt))
-    for i, r in enumerate(records):
-        z[i, : corpus.d_img] = r.image_features
-        if r.text_features is not None:
-            z[i, corpus.d_img :] = r.text_features
+    z = _doc_inputs(records, corpus.d_img, corpus.d_txt)
     return rows, z[:, : corpus.d_img], z
 
 

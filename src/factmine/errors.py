@@ -24,20 +24,30 @@ class UnknownId(FactmineError, KeyError):
     __str__ = FactmineError.__str__  # KeyError would repr the message
 
 
+def _at(line_no):
+    return "" if line_no is None else f"line {line_no}: "
+
+
 class DuplicateId(FactmineError):
-    def __init__(self, report_id):
+    def __init__(self, report_id, line_no=None):
         self.report_id = report_id
-        super().__init__(f"duplicate report_id {report_id!r}")
+        self.line_no = line_no
+        super().__init__(f"{_at(line_no)}duplicate report_id {report_id!r}")
 
 
 class DimensionMismatch(FactmineError):
     pass
 
 
+class CheckpointMismatch(FactmineError):
+    """An index used with a checkpoint other than the one it was built from."""
+
+
 class UnknownLabelArity(FactmineError):
-    def __init__(self, got):
+    def __init__(self, got, line_no=None):
         self.got = got
-        super().__init__(f"label vector must have 5 entries, got {got}")
+        self.line_no = line_no
+        super().__init__(f"{_at(line_no)}label vector must have 5 entries, got {got}")
 
 
 class LengthMismatch(FactmineError):

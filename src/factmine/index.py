@@ -1,12 +1,19 @@
 """Exact top-k cosine retrieval over unit-norm document embeddings."""
 
 import json
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoder import encode_doc
-from .errors import EmptyCandidateSet, InvalidConfig, MalformedArtifact, MissingTextFeatures
+from .encoder import _doc_inputs, _encode_docs
+from .errors import (
+    DimensionMismatch,
+    EmptyCandidateSet,
+    InvalidConfig,
+    MalformedArtifact,
+    MissingTextFeatures,
+)
 
 
 @dataclass(frozen=True)
@@ -28,6 +35,8 @@ class EmbeddingIndex:
     matrix: np.ndarray  # (n, e), unit-norm rows
     patient_ids: list
     report_chars: list
+    # sha256 of the checkpoint file the rows were encoded with, if known.
+    checkpoint_sha256: "str | None" = None
     # Per-row arrays for vectorised exclusion and tie-breaking, derived from
     # the lists above on first search.
     _rows: "_RowArrays | None" = field(default=None, init=False, repr=False, compare=False)
@@ -63,18 +72,27 @@ def _row_arrays(index):
 
 
 def build_index(corpus, params, split="train"):
-    """Index the chosen split in corpus order."""
+    """Index the chosen split in corpus order.
+
+    Every document is encoded by one product of the split's stacked
+    [image | text] inputs with w_d, then normalised row by row.
+    """
+    if (corpus.d_img, corpus.d_txt) != (params.d_img, params.d_txt):
+        raise DimensionMismatch(
+            f"corpus features are {corpus.d_img}/{corpus.d_txt}, "
+            f"checkpoint expects {params.d_img}/{params.d_txt}"
+        )
     docs = corpus.split(split)
-    ids, rows, patients, chars = [], [], [], []
     for rec in docs:
         if rec.text_features is None:
             raise MissingTextFeatures(rec.report_id)
-        ids.append(rec.report_id)
-        rows.append(encode_doc(params, rec.image_features, rec.text_features))
-        patients.append(rec.patient_id)
-        chars.append(len(rec.report_text))
-    matrix = np.stack(rows) if rows else np.zeros((0, params.embedding_dim))
-    return EmbeddingIndex(ids, matrix, patients, chars)
+    matrix = _encode_docs(params, _doc_inputs(docs, params.d_img, params.d_txt))
+    return EmbeddingIndex(
+        [r.report_id for r in docs],
+        matrix,
+        [r.patient_id for r in docs],
+        [len(r.report_text) for r in docs],
+    )
 
 
 def _scores(index, query_embedding):
@@ -136,13 +154,16 @@ def search_batch(index, query_embeddings, k, policy, identities):
 
 # --- checkpoint io ---------------------------------------------------------
 
-INDEX_VERSION = "1"
+INDEX_VERSION = "2"
+
+_SHA256 = re.compile(r"[0-9a-f]{64}")
 
 
 def save_index(index, path):
     """JSON header line (ids + metadata) + row-major float64 little-endian matrix."""
     header = {
         "schema_version": INDEX_VERSION,
+        "checkpoint_sha256": index.checkpoint_sha256,
         "n": len(index.doc_ids),
         "embedding_dim": int(index.matrix.shape[1]),
         "doc_ids": list(index.doc_ids),
@@ -161,9 +182,9 @@ def _is_count(value, minimum):
 def load_index(path):
     """Read a file written by save_index.
 
-    Raises MalformedArtifact unless the header has this schema version and
-    n entries per id list, and the body holds exactly n x embedding_dim
-    finite float64 values.
+    Raises MalformedArtifact unless the header has this schema version, a
+    checkpoint sha256 (hex) or null, and n entries per id list, and the body
+    holds exactly n x embedding_dim finite float64 values.
     """
     with open(path, "rb") as fh:
         line = fh.readline()
@@ -177,6 +198,11 @@ def load_index(path):
     n, e = header.get("n"), header.get("embedding_dim")
     if not (_is_count(n, 0) and _is_count(e, 1)):
         raise MalformedArtifact(path, f"bad index shape n={n!r} embedding_dim={e!r}")
+    checkpoint_sha256 = header.get("checkpoint_sha256")
+    if checkpoint_sha256 is not None and not (
+        isinstance(checkpoint_sha256, str) and _SHA256.fullmatch(checkpoint_sha256)
+    ):
+        raise MalformedArtifact(path, f"bad index checkpoint_sha256 {checkpoint_sha256!r}")
     for key, valid in (
         ("doc_ids", lambda v: isinstance(v, str)),
         ("patient_ids", lambda v: isinstance(v, str)),
@@ -193,5 +219,5 @@ def load_index(path):
     if not np.isfinite(matrix).all():
         raise MalformedArtifact(path, "index matrix has non-finite entries")
     return EmbeddingIndex(
-        header["doc_ids"], matrix, header["patient_ids"], header["report_chars"]
+        header["doc_ids"], matrix, header["patient_ids"], header["report_chars"], checkpoint_sha256
     )

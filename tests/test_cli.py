@@ -3,7 +3,7 @@ import json
 import pytest
 
 from factmine.cli import main, read_config_file
-from factmine.corpus import synth_corpus, write_corpus
+from factmine.corpus import Corpus, synth_corpus, write_corpus
 
 
 @pytest.fixture
@@ -294,3 +294,56 @@ def test_bad_option_or_id_is_mapped_error(workdir, capsys, argv, error):
     capsys.readouterr()
     code = main([argv[0], "--corpus", "corpus.jsonl", *argv[1:]])
     assert_mapped_error(code, capsys, error)
+
+
+def test_retrieve_index_of_other_checkpoint_is_mapped_error(workdir, capsys):
+    run_pipeline()
+    assert main(["train", "--corpus", "corpus.jsonl", "--pairs", "pairs.tsv",
+                 "--checkpoint", "other.ckpt", "--seed", "8", "--max-epochs", "1",
+                 "--embedding-dim", "16"]) == 0
+    assert main(["index", "--corpus", "corpus.jsonl", "--checkpoint", "other.ckpt",
+                 "--index", "other.idx"]) == 0
+    capsys.readouterr()
+    record = assert_mapped_error(retrieve("other.idx"), capsys, "CheckpointMismatch")
+    assert "other.idx" in record["message"]
+    assert retrieve("docs.idx") == 0
+
+
+def test_non_utf8_corpus_is_mapped_error(workdir, capsys):
+    lines = (workdir / "corpus.jsonl").read_bytes().splitlines(keepends=True)
+    lines[5] = lines[5].replace(b"{", b'{"note": "\xff", ', 1)
+    (workdir / "bad.jsonl").write_bytes(b"".join(lines))
+    record = assert_mapped_error(
+        main(["mine", "--corpus", "bad.jsonl", "--pairs", "pairs.tsv"]), capsys, "MalformedRecord"
+    )
+    assert record["message"].startswith("line 6: ")
+
+
+@pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config-file"])
+def test_path_option_that_looks_like_a_number_stays_a_path(workdir, capsys, via_config):
+    if via_config:
+        (workdir / "mine.cfg").write_text("corpus = corpus.jsonl\npairs = 1\n")
+        argv = ["mine", "--config", "mine.cfg"]
+    else:
+        argv = ["mine", "--corpus", "corpus.jsonl", "--pairs", "1"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == ""
+    assert (workdir / "1").read_text().startswith("{")
+    assert json.loads((workdir / "1.prov").read_text())["config"]["pairs"] == "1"
+
+
+@pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config-file"])
+def test_id_option_that_looks_like_a_number_stays_an_id(workdir, capsys, via_config):
+    corpus = synth_corpus(7, 60)
+    corpus.records[12].report_id = "00012"
+    write_corpus(Corpus(corpus.records, corpus.d_img, corpus.d_txt), workdir / "ids.jsonl")
+    if via_config:
+        (workdir / "score.cfg").write_text("corpus = ids.jsonl\na = 00012\nb = s00001\n")
+        argv = ["score", "--config", "score.cfg"]
+    else:
+        argv = ["score", "--corpus", "ids.jsonl", "--a", "00012", "--b", "s00001"]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert set(doc) == {"factual_similarity", "chexbert_instance", "rouge_l"}
+    if via_config:
+        assert read_config_file(workdir / "score.cfg")["a"] == "00012"

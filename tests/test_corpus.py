@@ -1,9 +1,15 @@
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import factmine.corpus as corpus_module
 from factmine.corpus import (
+    ENTITY_LABELS,
+    RELATION_TYPES,
+    SPLITS,
     FactGraph,
     load_corpus,
     normalize_entity,
@@ -13,6 +19,7 @@ from factmine.corpus import (
 from factmine.errors import (
     DimensionMismatch,
     DuplicateId,
+    FactmineError,
     MalformedRecord,
     UnknownLabelArity,
 )
@@ -156,3 +163,276 @@ def test_graph_rejects_bad_relation_type():
     graph = FactGraph((("edema", "OBS-DP"),), ((0, "caused_by", 0),))
     with pytest.raises(ValueError):
         graph.validate()
+
+
+def test_graph_rejects_non_string_entity_text():
+    with pytest.raises(ValueError, match="not a string"):
+        FactGraph(((5, "OBS-DP"),)).validate()
+
+
+# --- the loader checks each distinct item once and shares it ----------------
+
+
+def test_repeated_items_are_shared_and_normalized_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return normalize_entity(text)
+
+    monkeypatch.setattr(corpus_module, "normalize_entity", counting)
+    corpus = load_corpus(write_file(tmp_path, [record_obj(f"s{i}") for i in range(3)]))
+    a, b, c = corpus.records
+    assert sorted(calls) == ["edema", "lung"]
+    for i in range(2):
+        assert a.graph.entities[i] is b.graph.entities[i] is c.graph.entities[i]
+    assert a.graph.relations[0] is b.graph.relations[0] is c.graph.relations[0]
+    assert a.labels is b.labels is c.labels
+
+
+@pytest.mark.parametrize("change", [
+    {"labels": [0.5, 1, 0, 0, 0]},
+    {"labels": [True, 0, 0, 0, 0]},
+    {"labels": [1.0, 0, 0, 0, 0]},
+    {"labels": "01000"},
+    {"relations": [[0.7, "located_at", 1]]},
+    {"relations": [[0, "located_at", True]]},
+    {"entities": [[5, "OBS-DP"], ["lung", "ANAT-DP"]]},
+    {"image_features": [float("nan"), 1.0]},
+    {"text_features": [0.5, float("inf")]},
+    {"image_features": ["a", 1.0]},
+], ids=["label-fraction", "label-bool", "label-float", "label-text", "endpoint-fraction",
+        "endpoint-bool", "entity-number", "image-nan", "text-inf", "image-text"])
+def test_inexact_values_are_malformed_not_truncated(tmp_path, change):
+    path = write_file(tmp_path, [record_obj("s0"), record_obj("s1", **change), record_obj("s2")])
+    with pytest.raises(MalformedRecord) as exc:
+        load_corpus(path)
+    assert exc.value.line_no == 3
+
+
+def test_overflowing_feature_is_malformed(tmp_path):
+    path = write_file(tmp_path, [record_obj("s0"), record_obj("s1", image_features=[1.0, 2.0])])
+    path.write_text(path.read_text().replace("[1.0, 2.0]", "[1e400, 2.0]"))
+    with pytest.raises(MalformedRecord, match="non-finite") as exc:
+        load_corpus(path)
+    assert exc.value.line_no == 2
+
+
+def test_non_finite_feature_is_named_before_a_later_fault(tmp_path):
+    path = write_file(tmp_path, [
+        record_obj("s0", text_features=[float("nan"), 0.0]),
+        record_obj("s1", split="dev"),
+    ])
+    with pytest.raises(MalformedRecord, match="text_features") as exc:
+        load_corpus(path)
+    assert exc.value.line_no == 2
+
+
+@pytest.mark.parametrize("line_no", [1, 3])
+def test_non_utf8_line_is_malformed(tmp_path, line_no):
+    lines = [json.dumps(HEADER), json.dumps(record_obj("s0")), json.dumps(record_obj("s1"))]
+    data = [line.encode() for line in lines]
+    data[line_no - 1] = data[line_no - 1].replace(b"{", b'{"note": "\xff", ', 1)
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(b"\n".join(data) + b"\n")
+    with pytest.raises(MalformedRecord, match="UTF-8") as exc:
+        load_corpus(path)
+    assert exc.value.line_no == line_no
+
+
+def test_duplicate_and_arity_errors_name_the_line(tmp_path):
+    path = write_file(tmp_path, [record_obj("s1"), {}, record_obj("s1")])
+    path.write_text(path.read_text().replace("{}", ""))
+    with pytest.raises(DuplicateId, match="line 4: ") as exc:
+        load_corpus(path)
+    assert (exc.value.report_id, exc.value.line_no) == ("s1", 4)
+    path = write_file(tmp_path, [record_obj("s1"), record_obj("s2", labels=[0, 1])])
+    with pytest.raises(UnknownLabelArity) as exc:
+        load_corpus(path)
+    assert (exc.value.got, exc.value.line_no) == (2, 3)
+
+
+# --- load_corpus against a naive per-line reference parse --------------------
+
+
+def reference_record(obj, line_no, d_img, d_txt):
+    """One record, every check written out in load_corpus's documented order."""
+
+    def malformed(why):
+        return MalformedRecord(line_no, why)
+
+    try:
+        if not isinstance(obj, dict):
+            raise malformed("not an object")
+        labels = obj["labels"]
+        if not isinstance(labels, list):
+            raise malformed("labels not a list")
+        if len(labels) != 5:
+            raise UnknownLabelArity(len(labels), line_no)
+        if not all(type(v) is int and v in (0, 1) for v in labels):
+            raise malformed("labels not binary integers")
+        entities = []
+        for item in obj["entities"]:
+            if not (isinstance(item, list) and len(item) == 2):
+                raise malformed("entity not a pair")
+            text, label = item
+            if not isinstance(text, str) or label not in ENTITY_LABELS:
+                raise malformed("bad entity")
+            if not normalize_entity(text):
+                raise malformed("empty entity")
+            entities.append((text, label))
+        relations = []
+        for item in obj["relations"]:
+            if not (isinstance(item, list) and len(item) == 3):
+                raise malformed("relation not a triple")
+            src, rel, dst = item
+            if type(src) is not int or type(dst) is not int or rel not in RELATION_TYPES:
+                raise malformed("bad relation")
+            if not (0 <= src < len(entities) and 0 <= dst < len(entities)):
+                raise malformed("relation out of range")
+            relations.append((src, rel, dst))
+        img = np.asarray(obj["image_features"], dtype=np.float64)
+        txt = obj.get("text_features")
+        txt = None if txt is None else np.asarray(txt, dtype=np.float64)
+        fields = {k: str(obj[k]) for k in ("report_id", "patient_id", "split", "report_text")}
+        if fields["split"] not in SPLITS:
+            raise malformed("bad split")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise malformed(str(exc)) from exc
+    if img.shape != (d_img,) or (txt is not None and txt.shape != (d_txt,)):
+        raise DimensionMismatch(f"line {line_no}: bad feature dimension")
+    return dict(fields, labels=tuple(labels), entities=tuple(entities),
+                relations=tuple(relations), image_features=img, text_features=txt)
+
+
+def reference_load(data):
+    lines = data.split(b"\n")
+    header = json.loads(lines[0])
+    records, ids = [], set()
+    for line_no, raw in enumerate(lines[1:], start=2):
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise MalformedRecord(line_no, "not UTF-8") from None
+        if not text.strip():
+            continue
+        try:
+            obj = json.loads(text)
+        except ValueError:
+            raise MalformedRecord(line_no, "invalid JSON") from None
+        rec = reference_record(obj, line_no, header["d_img"], header["d_txt"])
+        if rec["report_id"] in ids:
+            raise DuplicateId(rec["report_id"], line_no)
+        ids.add(rec["report_id"])
+        for name in ("image_features", "text_features"):
+            if rec[name] is not None and not np.isfinite(rec[name]).all():
+                raise MalformedRecord(line_no, "non-finite")
+        records.append(rec)
+    return records
+
+
+def outcome(load, arg):
+    """Loaded records as dicts, or (error type, line number, report id)."""
+    try:
+        result = load(arg)
+    except FactmineError as exc:
+        line = getattr(exc, "line_no", None)
+        if line is None:
+            line = int(re.match(r"line (\d+): ", str(exc)).group(1))
+        return type(exc), line, getattr(exc, "report_id", None)
+    if isinstance(result, list):
+        return result
+    return [
+        dict(report_id=r.report_id, patient_id=r.patient_id, split=r.split,
+             report_text=r.report_text, labels=r.labels, entities=r.graph.entities,
+             relations=r.graph.relations, image_features=r.image_features,
+             text_features=r.text_features)
+        for r in result.records
+    ]
+
+
+ENTITY_POOL = (["edema", "OBS-DP"], ["Lung ", "ANAT-DP"], ["mild.", "OBS-U"],
+               ["HEART", "ANAT-DP"], ["effusion", "OBS-DA"])
+
+# Each fault turns a valid record object (or its line) into a malformed one.
+FAULTS = {
+    "label-arity": lambda o: o.update(labels=o["labels"][:4]),
+    "label-fraction": lambda o: o["labels"].__setitem__(1, 0.5),
+    "label-bool": lambda o: o["labels"].__setitem__(0, True),
+    "label-two": lambda o: o["labels"].__setitem__(2, 2),
+    "label-text": lambda o: o.update(labels="01000"),
+    "entity-label": lambda o: o["entities"].append(["edema", "OBS"]),
+    "entity-empty": lambda o: o["entities"].append(["...", "OBS-DP"]),
+    "entity-number": lambda o: o["entities"].append([5, "OBS-DP"]),
+    "entity-single": lambda o: o["entities"].append(["edema"]),
+    "relation-fraction": lambda o: o["relations"].append([0.7, "modify", 0]),
+    # Equal as dict keys to the valid relation before them.
+    "relation-float": lambda o: o["relations"].extend([[0, "modify", 0], [0.0, "modify", 0]]),
+    "relation-bool": lambda o: o["relations"].extend([[0, "modify", 0], [0, "modify", False]]),
+    "relation-range": lambda o: o["relations"].append([0, "modify", len(o["entities"])]),
+    "relation-negative": lambda o: o["relations"].append([-1, "modify", 0]),
+    "relation-type": lambda o: o["relations"].append([0, "caused_by", 0]),
+    "split": lambda o: o.update(split="dev"),
+    "missing-key": lambda o: o.pop("patient_id"),
+    "image-dim": lambda o: o["image_features"].append(1.0),
+    "text-dim": lambda o: o.update(text_features=[1.0]),
+    "image-text": lambda o: o["image_features"].__setitem__(0, "a"),
+    "image-nested": lambda o: o.update(image_features=[[1.0], [2.0]]),
+    "image-nan": lambda o: o["image_features"].__setitem__(0, float("nan")),
+    "text-inf": lambda o: o.update(text_features=[0.0, float("-inf")]),
+    "duplicate": lambda o: o.update(report_id="r0"),
+}
+RAW_FAULTS = {
+    "overflow": lambda line: line.replace(b'"image_features": [', b'"image_features": [1e400, ', 1)
+    .replace(b", 1e400", b""),
+    "not-utf8": lambda line: line.replace(b'"patient_id": "', b'"patient_id": "\xff', 1),
+    "not-json": lambda line: line[:-1],
+    "not-object": lambda line: b"[1, 2]",
+}
+
+
+@st.composite
+def corpus_files(draw):
+    lines = [json.dumps(HEADER).encode()]
+    for i in range(draw(st.integers(0, 7))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from([b"", b"   ", b"\t"])))
+            continue
+        entities = [list(ENTITY_POOL[j]) for j in draw(st.lists(st.integers(0, 4), max_size=4))]
+        n = len(entities)
+        relations = draw(st.lists(
+            st.tuples(st.integers(0, max(n - 1, 0)), st.sampled_from(RELATION_TYPES),
+                      st.integers(0, max(n - 1, 0))),
+            max_size=3 if n else 0))
+        obj = {
+            "report_id": f"r{i}", "patient_id": f"p{i % 3}",
+            "split": draw(st.sampled_from(SPLITS)), "report_text": "text",
+            "labels": draw(st.lists(st.integers(0, 1), min_size=5, max_size=5)),
+            "entities": entities, "relations": [list(r) for r in relations],
+            "image_features": [float(i), -1.5],
+            "text_features": draw(st.sampled_from([None, [0.25, 2.0]])),
+        }
+        fault = draw(st.sampled_from([None] * 20 + sorted(FAULTS) + sorted(RAW_FAULTS)))
+        if fault in FAULTS:
+            FAULTS[fault](obj)
+        line = json.dumps(obj).encode()
+        if fault in RAW_FAULTS:
+            line = RAW_FAULTS[fault](line)
+        lines.append(line)
+    return b"\n".join(lines) + b"\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(corpus_files())
+def test_load_corpus_matches_naive_reference(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("corpus") / "corpus.jsonl"
+    path.write_bytes(data)
+    got, want = outcome(load_corpus, path), outcome(reference_load, data)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert isinstance(got, list) and len(got) == len(want)
+    for g, w in zip(got, want):
+        for key in ("image_features", "text_features"):
+            np.testing.assert_array_equal(g.pop(key), w.pop(key))
+        assert g == w

@@ -8,8 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 import factmine.index as index_module
 from factmine.corpus import synth_corpus
-from factmine.encoder import encode_query, init_params
-from factmine.errors import EmptyCandidateSet, MalformedArtifact, MissingTextFeatures
+from factmine.encoder import encode_doc, encode_query, init_params
+from factmine.errors import (
+    DimensionMismatch,
+    EmptyCandidateSet,
+    MalformedArtifact,
+    MissingTextFeatures,
+)
 from factmine.index import (
     EmbeddingIndex,
     ExclusionPolicy,
@@ -45,14 +50,29 @@ def test_build_index_cardinality_and_determinism(tmp_path):
     assert pa.read_bytes() == pb.read_bytes()
 
 
+def test_build_index_rows_are_encode_doc():
+    corpus = synth_corpus(6, 72)
+    params = init_params(0, corpus.d_img, corpus.d_txt, 16)
+    index = build_index(corpus, params, "train")
+    np.testing.assert_allclose(np.linalg.norm(index.matrix, axis=1), 1.0, rtol=0, atol=1e-15)
+    for rec, row in zip(corpus.split("train"), index.matrix):
+        want = encode_doc(params, rec.image_features, rec.text_features)
+        np.testing.assert_allclose(row, want, rtol=0, atol=1e-15)
+
+
 def test_build_index_missing_text_features():
-    rec = make_record("s1")
-    rec.text_features = None
-    corpus = make_corpus([rec])
+    records = [make_record(f"s{i}") for i in range(5)]
+    records[2].text_features = None
+    records[4].text_features = None
     params = init_params(0, 4, 3, 8)
     with pytest.raises(MissingTextFeatures) as exc:
-        build_index(corpus, params, "train")
-    assert exc.value.doc_id == "s1"
+        build_index(make_corpus(records), params, "train")
+    assert exc.value.doc_id == "s2"
+
+
+def test_build_index_rejects_checkpoint_of_other_feature_dims():
+    with pytest.raises(DimensionMismatch):
+        build_index(make_corpus([make_record("s1")]), init_params(0, 4, 4, 8), "train")
 
 
 def test_search_self_match():
@@ -128,9 +148,11 @@ def test_search_batch_empty():
 
 def test_index_file_roundtrip(tmp_path):
     index = random_index(20, 6)
+    index.checkpoint_sha256 = "ab" * 32
     path = tmp_path / "x.idx"
     save_index(index, path)
     back = load_index(path)
+    assert back.checkpoint_sha256 == index.checkpoint_sha256
     assert back.doc_ids == index.doc_ids
     assert back.patient_ids == index.patient_ids
     assert back.report_chars == index.report_chars
@@ -259,6 +281,10 @@ def test_load_index_rejects_truncated_body(tmp_path):
         {"doc_ids": ["d0", "d1", "d2"]},
         {"patient_ids": ["p0", "p1", "p2", 4]},
         {"report_chars": [20, 20, 20, 2.5]},
+        {"schema_version": "1"},
+        {"checkpoint_sha256": "ab"},
+        {"checkpoint_sha256": "AB" * 32},
+        {"checkpoint_sha256": 7},
     ],
 )
 def test_load_index_rejects_bad_header(tmp_path, change):
