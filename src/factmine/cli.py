@@ -31,14 +31,6 @@ from .mining import MiningConfig, mine_pairs, read_pairs, threshold_sweep, write
 from .ragdata import build_rag_dataset, write_rag_dataset
 
 
-# Options naming files, report ids, splits, modes or comma lists: their
-# values stay text, so `--pairs 1` names a file and `--a 00012` an id.
-_TEXT_OPTIONS = frozenset({
-    "corpus", "pairs", "checkpoint", "log", "index", "run", "output", "a", "b",
-    "split", "query_split", "mode", "chexbert_grid", "radgraph_grid",
-})
-
-
 def _option_value(key, text):
     return text if key in _TEXT_OPTIONS else _parse_scalar(text)
 
@@ -148,8 +140,8 @@ def cmd_mine(config):
 def cmd_sweep(config):
     grid = [
         _build(MiningConfig, {**config, "chexbert_threshold": c, "radgraph_threshold": r})
-        for c in map(_parse_scalar, str(config["chexbert_grid"]).split(","))
-        for r in map(_parse_scalar, str(config["radgraph_grid"]).split(","))
+        for c in map(_parse_scalar, config["chexbert_grid"].split(","))
+        for r in map(_parse_scalar, config["radgraph_grid"].split(","))
     ]
     corpus = load_corpus(config["corpus"])
     rows = threshold_sweep(corpus, grid)
@@ -353,6 +345,16 @@ _COMMANDS = {
     ),
     "score": (cmd_score, {"corpus": None, "a": None, "b": None}),
 }
+
+# Options whose default is text or absent name files, report ids, splits,
+# modes or comma lists, and their values stay text: `--pairs 1` names a
+# file and `--a 00012` an id. The train seed has no default but is a number.
+_TEXT_OPTIONS = frozenset(
+    option
+    for _, defaults in _COMMANDS.values()
+    for option, default in defaults.items()
+    if default is None or isinstance(default, str)
+) - {"seed"}
 
 
 def main(argv=None):

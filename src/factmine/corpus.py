@@ -148,10 +148,11 @@ class _Entities(dict):
 class _RecordParser:
     """Parses the records of one corpus file.
 
-    Each distinct entity and relation is validated once and its tuple is
-    shared by every record that repeats it. Feature values are checked for
-    finiteness afterwards by `_require_finite`, in one reduction over all
-    records.
+    Each distinct entity is validated once; every relation is validated
+    where it occurs, since its range depends on the record. Records that
+    repeat an entity or relation share its tuple. Feature values are
+    checked for finiteness afterwards by `_require_finite`, in one
+    reduction over all records.
     """
 
     def __init__(self, d_img, d_txt):
@@ -175,18 +176,12 @@ class _RecordParser:
         n = len(entities)
         seen = self.relations
         out = []
-        for item in relations:
-            src, rel, dst = item
+        for src, rel, dst in relations:
+            reason = _relation_error(src, rel, dst, n)
+            if reason is not None:
+                raise ValueError(reason)
             key = (src, rel, dst)
-            hit = seen.get(key)
-            # 1, 1.0 and True are equal keys, so a hit still checks the
-            # endpoint types; the range depends on the record.
-            if hit is None or type(src) is not int or type(dst) is not int or src >= n or dst >= n:
-                reason = _relation_error(src, rel, dst, n)
-                if reason is not None:
-                    raise ValueError(reason)
-                hit = seen.setdefault(key, key)
-            out.append(hit)
+            out.append(seen.setdefault(key, key))
         return FactGraph(entities, tuple(out))
 
     def record(self, obj, line_no):

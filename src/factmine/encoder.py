@@ -150,10 +150,18 @@ def _encode_docs(params, z):
 def _doc_inputs(records, d_img, d_txt):
     """(n, d_img + d_txt) matrix of each record's [image | text] features.
 
-    A record without text features keeps zero text columns.
+    A record without text features keeps zero text columns. Raises
+    DimensionMismatch naming the first record whose features have another
+    shape.
     """
     z = np.zeros((len(records), d_img + d_txt))
     for i, r in enumerate(records):
+        img, txt = np.shape(r.image_features), np.shape(r.text_features)
+        if img != (d_img,) or (r.text_features is not None and txt != (d_txt,)):
+            raise DimensionMismatch(
+                f"{r.report_id}: features have shapes {img}/{txt}, "
+                f"expected ({d_img},)/({d_txt},)"
+            )
         z[i, :d_img] = r.image_features
         if r.text_features is not None:
             z[i, d_img:] = r.text_features
