@@ -2,11 +2,10 @@
 
 import argparse
 import hashlib
-import json
 import sys
 from dataclasses import fields
 
-from . import __version__
+from . import __version__, artifacts
 from .corpus import load_corpus
 from .encoder import TrainConfig, encode_query, load_params, save_params, train, write_training_log
 from .errors import (
@@ -38,14 +37,13 @@ def _option_value(key, text):
 def read_config_file(path):
     """Flat key = value config, '#' comments, JSON-style scalars; text options stay text."""
     config = {}
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, _, value = line.partition("=")
-            key = key.strip()
-            config[key] = _option_value(key, value.strip())
+    for _, text in artifacts.read_lines(path):
+        line = text.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, _, value = line.partition("=")
+        key = key.strip()
+        config[key] = _option_value(key, value.strip())
     return config
 
 
@@ -65,7 +63,7 @@ def resolve_config(args, defaults):
     """File values under flag values under defaults; flags win.
 
     Raises InvalidConfig for a config-file key that is not one of the
-    command's options.
+    command's options, and for required options given neither way.
     """
     config = dict(defaults)
     if getattr(args, "config", None):
@@ -79,6 +77,9 @@ def resolve_config(args, defaults):
         if value is not None:
             # argparse hands every flag over as a string
             config[key] = _option_value(key, value) if isinstance(value, str) else value
+    missing = ["--" + key.replace("_", "-") for key, value in config.items() if value is _REQUIRED]
+    if missing:
+        raise InvalidConfig(f"missing required options {', '.join(missing)}")
     return config
 
 
@@ -95,14 +96,10 @@ def write_provenance(artifact_path, command, config, inputs):
         "command": command,
         "version": __version__,
         "config": config,
-        "config_sha256": hashlib.sha256(
-            json.dumps(config, sort_keys=True).encode()
-        ).hexdigest(),
+        "config_sha256": hashlib.sha256(artifacts.to_json(config).encode()).hexdigest(),
         "inputs": {p: _sha256(p) for p in inputs},
     }
-    with open(artifact_path + ".prov", "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    artifacts.write_lines(artifact_path + ".prov", [artifacts.to_json(sidecar, indent=2)])
 
 
 def _defaults(cls):
@@ -138,23 +135,20 @@ def cmd_mine(config):
 
 
 def cmd_sweep(config):
+    base = {**_defaults(MiningConfig), **config}  # the sweep sets no include_self
     grid = [
-        _build(MiningConfig, {**config, "chexbert_threshold": c, "radgraph_threshold": r})
+        _build(MiningConfig, {**base, "chexbert_threshold": c, "radgraph_threshold": r})
         for c in map(_parse_scalar, config["chexbert_grid"].split(","))
         for r in map(_parse_scalar, config["radgraph_grid"].split(","))
     ]
     corpus = load_corpus(config["corpus"])
     rows = threshold_sweep(corpus, grid)
-    with open(config["output"], "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+    artifacts.write_lines(config["output"], map(artifacts.to_json, rows))
     write_provenance(config["output"], "sweep", config, [config["corpus"]])
     return 0
 
 
 def cmd_train(config):
-    if config["seed"] is None:
-        raise FactmineError("--seed is mandatory for train")
     train_config = _build(TrainConfig, config)
     corpus = load_corpus(config["corpus"])
     pairs = read_pairs(config["pairs"])
@@ -237,9 +231,7 @@ def cmd_eval(config):
         "config": config,
         "provenance": run.provenance,
     }
-    with open(config["output"], "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    artifacts.write_lines(config["output"], [artifacts.to_json(doc, indent=2)])
     write_provenance(config["output"], "eval", config, [config["corpus"], config["run"]])
     return 0
 
@@ -256,6 +248,8 @@ def cmd_oracle(config):
 
 
 def cmd_build_rag(config):
+    if config["mode"] == "rag" and config["checkpoint"] is None:
+        raise InvalidConfig("missing required option --checkpoint for --mode rag")
     policy = _build(ExclusionPolicy, config)
     corpus = load_corpus(config["corpus"])
     params = load_params(config["checkpoint"]) if config["mode"] == "rag" else None
@@ -278,44 +272,45 @@ def cmd_score(config):
         "chexbert_instance": chexbert_instance(a.labels, b.labels),
         "rouge_l": rouge_l(a.report_text, b.report_text),
     }
-    print(json.dumps(doc, sort_keys=True))
+    print(artifacts.to_json(doc))
     return 0
 
 
+# Marks an option that has no default and must be given.
+_REQUIRED = object()
+
+
+def _required(*options):
+    return dict.fromkeys(options, _REQUIRED)
+
+
 # Each command's handler and its options with their defaults; every option
-# is also a flag, and None marks one without a default.
+# is also a flag, and None marks an optional one without a default.
 _COMMANDS = {
-    "mine": (cmd_mine, {"corpus": None, "pairs": None, **_defaults(MiningConfig)}),
+    "mine": (cmd_mine, {**_required("corpus", "pairs"), **_defaults(MiningConfig)}),
     "sweep": (
         cmd_sweep,
         {
-            "corpus": None,
-            "output": None,
+            **_required("corpus", "output"),
             "chexbert_grid": "0,0.4,0.8,1.0",
             "radgraph_grid": "0,0.2,0.4,0.6,0.8",
             "top_k": MiningConfig.top_k,
-            "include_self": MiningConfig.include_self,
         },
     ),
     "train": (
         cmd_train,
         {
-            "corpus": None,
-            "pairs": None,
-            "checkpoint": None,
+            **_required("corpus", "pairs", "checkpoint"),
             "log": None,
             **_defaults(TrainConfig),
-            "seed": None,
+            "seed": _REQUIRED,
         },
     ),
-    "index": (cmd_index, {"corpus": None, "checkpoint": None, "index": None, "split": "train"}),
+    "index": (cmd_index, {**_required("corpus", "checkpoint", "index"), "split": "train"}),
     "retrieve": (
         cmd_retrieve,
         {
-            "corpus": None,
-            "checkpoint": None,
-            "index": None,
-            "run": None,
+            **_required("corpus", "checkpoint", "index", "run"),
             "query_split": "test",
             "k": 10,
             **_defaults(ExclusionPolicy),
@@ -324,26 +319,23 @@ _COMMANDS = {
     "eval": (
         cmd_eval,
         {
-            "corpus": None,
-            "run": None,
-            "output": None,
+            **_required("corpus", "run", "output"),
             "query_split": "test",
-            "eval_chexbert_threshold": 0.6,
-            "eval_radgraph_threshold": 0.1,
+            "eval_chexbert_threshold": TrainConfig.val_chexbert_threshold,
+            "eval_radgraph_threshold": TrainConfig.val_radgraph_threshold,
         },
     ),
-    "oracle": (cmd_oracle, {"corpus": None, "run": None, "query_split": "test"}),
+    "oracle": (cmd_oracle, {**_required("corpus", "run"), "query_split": "test"}),
     "build-rag": (
         cmd_build_rag,
         {
-            "corpus": None,
-            "checkpoint": None,
-            "output": None,
+            **_required("corpus", "output"),
+            "checkpoint": None,  # needed by --mode rag only
             "mode": "rag",
             **_defaults(ExclusionPolicy),
         },
     ),
-    "score": (cmd_score, {"corpus": None, "a": None, "b": None}),
+    "score": (cmd_score, _required("corpus", "a", "b")),
 }
 
 # Options whose default is text or absent name files, report ids, splits,
@@ -353,7 +345,7 @@ _TEXT_OPTIONS = frozenset(
     option
     for _, defaults in _COMMANDS.values()
     for option, default in defaults.items()
-    if default is None or isinstance(default, str)
+    if default is None or default is _REQUIRED or isinstance(default, str)
 ) - {"seed"}
 
 
@@ -371,7 +363,7 @@ def main(argv=None):
         return handler(resolve_config(args, defaults))
     except (FactmineError, OSError) as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}
-        print(json.dumps(record, sort_keys=True), file=sys.stderr)
+        print(artifacts.to_json(record), file=sys.stderr)
         return 1
 
 

@@ -11,6 +11,7 @@ from itertools import chain, product
 
 import numpy as np
 
+from . import artifacts
 from .errors import (
     DimensionMismatch,
     DuplicateId,
@@ -127,6 +128,8 @@ class Corpus:
 # Every binary label vector, each mapped to itself so that records share it.
 _LABEL_VECTORS = {v: v for v in product((0, 1), repeat=5)}
 _LABEL_TYPES = [int] * 5
+# JSON numbers; bool is a subclass of int but not one of them.
+_NUMBER_TYPES = frozenset((int, float))
 
 
 class _Entities(dict):
@@ -189,14 +192,17 @@ class _RecordParser:
         try:
             labels = self.labels(obj["labels"], line_no)
             graph = self.graph(obj["entities"], obj["relations"])
-            img = np.asarray(obj["image_features"], dtype=np.float64)
+            img = _features(obj["image_features"], "image_features")
             txt = obj.get("text_features")
-            txt = None if txt is None else np.asarray(txt, dtype=np.float64)
+            txt = None if txt is None else _features(txt, "text_features")
+            report_id, patient_id, text = obj["report_id"], obj["patient_id"], obj["report_text"]
+            if not type(report_id) is type(patient_id) is type(text) is str:
+                raise ValueError("report_id, patient_id and report_text must be strings")
             rec = ReportRecord(
-                report_id=str(obj["report_id"]),
-                patient_id=str(obj["patient_id"]),
-                split=str(obj["split"]),
-                report_text=str(obj["report_text"]),
+                report_id=report_id,
+                patient_id=patient_id,
+                split=obj["split"],
+                report_text=text,
                 labels=labels,
                 graph=graph,
                 image_features=img,
@@ -204,7 +210,7 @@ class _RecordParser:
             )
             if rec.split not in SPLITS:
                 raise ValueError(f"unknown split {rec.split!r}")
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise MalformedRecord(line_no, str(exc)) from exc
         if img.shape != (self.d_img,):
             raise DimensionMismatch(
@@ -215,6 +221,13 @@ class _RecordParser:
                 f"line {line_no}: text_features has dim {txt.shape}, corpus dim is {self.d_txt}"
             )
         return rec
+
+
+def _features(value, name):
+    """A feature list as float64; every entry must be a JSON number, not a bool."""
+    if type(value) is not list or not _NUMBER_TYPES.issuperset(map(type, value)):
+        raise ValueError(f"{name} must be a list of numbers")
+    return np.asarray(value, dtype=np.float64)
 
 
 def _require_finite(records, line_nos):
@@ -248,11 +261,12 @@ def load_corpus(path):
     with open(path, "rb") as fh:
         try:
             header = json.loads(_decode(fh.readline(), 1))
-            d_img = int(header["d_img"])
-            d_txt = int(header["d_txt"])
-            version = str(header["schema_version"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            d_img, d_txt = header["d_img"], header["d_txt"]
+            version = header["schema_version"]
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise MalformedRecord(1, f"bad header: {exc}") from exc
+        if not (type(d_img) is int and d_img >= 1 and type(d_txt) is int and d_txt >= 0):
+            raise MalformedRecord(1, f"bad header dimensions d_img={d_img!r} d_txt={d_txt!r}")
         if version != SCHEMA_VERSION:
             raise MalformedRecord(1, f"schema_version {version!r}, expected {SCHEMA_VERSION!r}")
         parser = _RecordParser(d_img, d_txt)
@@ -282,26 +296,25 @@ def load_corpus(path):
 
 def write_corpus(corpus, path):
     """Serialize a corpus back to the JSONL contract (round-trips load_corpus)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        header = {
-            "schema_version": corpus.schema_version,
-            "d_img": corpus.d_img,
-            "d_txt": corpus.d_txt,
-        }
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for r in corpus.records:
-            obj = {
-                "report_id": r.report_id,
-                "patient_id": r.patient_id,
-                "split": r.split,
-                "report_text": r.report_text,
-                "labels": list(r.labels),
-                "entities": [[t, l] for t, l in r.graph.entities],
-                "relations": [[s, rel, d] for s, rel, d in r.graph.relations],
-                "image_features": r.image_features.tolist(),
-                "text_features": None if r.text_features is None else r.text_features.tolist(),
-            }
-            fh.write(json.dumps(obj, sort_keys=True) + "\n")
+    header = {
+        "schema_version": corpus.schema_version,
+        "d_img": corpus.d_img,
+        "d_txt": corpus.d_txt,
+    }
+    artifacts.write_lines(path, [artifacts.to_json(header), *(
+        artifacts.to_json({
+            "report_id": r.report_id,
+            "patient_id": r.patient_id,
+            "split": r.split,
+            "report_text": r.report_text,
+            "labels": list(r.labels),
+            "entities": [[t, l] for t, l in r.graph.entities],
+            "relations": [[s, rel, d] for s, rel, d in r.graph.relations],
+            "image_features": r.image_features.tolist(),
+            "text_features": None if r.text_features is None else r.text_features.tolist(),
+        })
+        for r in corpus.records
+    )])
 
 
 # --- synthetic corpora -----------------------------------------------------

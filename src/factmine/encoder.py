@@ -8,12 +8,12 @@ normalization; no autodiff framework is involved. 64-bit accumulation
 throughout: with the default temperature of 0.01 logits reach +/-100.
 """
 
-import json
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import artifacts
 from .errors import (
     DegenerateEmbedding,
     DimensionMismatch,
@@ -473,10 +473,7 @@ def save_params(params, path, seed=None):
         "temperature": params.temperature,
         "seed": seed,
     }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        fh.write(np.ascontiguousarray(params.w_q, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(params.w_d, dtype="<f8").tobytes())
+    artifacts.write_matrices(path, header, params.w_q, params.w_d)
 
 
 def load_params(path):
@@ -486,15 +483,7 @@ def load_params(path):
     valid dimensions and a positive temperature, and the body holds exactly
     the two matrices' finite float64 values.
     """
-    with open(path, "rb") as fh:
-        line = fh.readline()
-        body = fh.read()
-    try:
-        header = json.loads(line)
-    except ValueError:
-        raise MalformedArtifact(path, "checkpoint header is not a JSON line") from None
-    if not isinstance(header, dict) or header.get("schema_version") != CHECKPOINT_VERSION:
-        raise MalformedArtifact(path, f"checkpoint schema_version is not {CHECKPOINT_VERSION!r}")
+    header, body = artifacts.read_header(path, "checkpoint", CHECKPOINT_VERSION)
     e, d_img, d_txt = (header.get(k) for k in ("embedding_dim", "d_img", "d_txt"))
     if not all(type(v) is int for v in (e, d_img, d_txt)) or e < 2 or d_img < 1 or d_txt < 0:
         raise MalformedArtifact(
@@ -503,21 +492,9 @@ def load_params(path):
     temperature = header.get("temperature")
     if type(temperature) not in (int, float) or not 0 < temperature < np.inf:
         raise MalformedArtifact(path, f"bad checkpoint temperature {temperature!r}")
-    n_q = d_img * e
-    n_d = (d_img + d_txt) * e
-    if len(body) != (n_q + n_d) * 8:
-        raise MalformedArtifact(
-            path, f"checkpoint body is {len(body)} bytes, expected {(n_q + n_d) * 8}"
-        )
-    values = np.frombuffer(body, dtype="<f8")
-    if not np.isfinite(values).all():
-        raise MalformedArtifact(path, "checkpoint has non-finite entries")
-    w_q = values[:n_q].reshape(d_img, e).copy()
-    w_d = values[n_q:].reshape(d_img + d_txt, e).copy()
+    w_q, w_d = artifacts.read_matrices(path, "checkpoint", body, (d_img, e), (d_img + d_txt, e))
     return EncoderParams(w_q, w_d, temperature)
 
 
 def write_training_log(log, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        for entry in log:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
+    artifacts.write_lines(path, map(artifacts.to_json, log))

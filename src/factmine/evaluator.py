@@ -1,10 +1,10 @@
 """Retrieval evaluation: rank-1 factual scoring, MRR, and oracle retrieval."""
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import artifacts
 from .errors import EmptyCandidateSet, MalformedArtifact, MissingResult
 from .metrics import chexbert_micro, factual_similarity, rouge_l
 from .mining import MiningConfig, _fact_index, candidate_pairs
@@ -116,11 +116,12 @@ def oracle_retrieve(corpus, query_id):
 
 def write_run(run, path):
     """Line-delimited (query_id, rank, doc_id, score) with a provenance header."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"provenance": run.provenance}, sort_keys=True) + "\n")
-        for query_id in sorted(run.results):
-            for rank, (doc_id, score) in enumerate(run.results[query_id], start=1):
-                fh.write(f"{query_id}\t{rank}\t{doc_id}\t{score!r}\n")
+    artifacts.write_lines(path, [
+        artifacts.to_json({"provenance": run.provenance}),
+        *(f"{query_id}\t{rank}\t{doc_id}\t{score!r}"
+          for query_id in sorted(run.results)
+          for rank, (doc_id, score) in enumerate(run.results[query_id], start=1)),
+    ])
 
 
 def read_run(path):
@@ -130,25 +131,16 @@ def read_run(path):
     object and every result line is UTF-8 with four tab-separated fields,
     an integer rank and a float score.
     """
-    with open(path, "rb") as fh:
+    header, lines = artifacts.read_headed_lines(path, "run")
+    results = {}
+    for line_no, line in lines:
         try:
-            header = json.loads(fh.readline())
+            query_id, rank, doc_id, score = line.split("\t")
+            int(rank)  # line order gives the rank; the field is only checked
+            result = (doc_id, float(score))
         except ValueError:
-            header = None
-        if not isinstance(header, dict):
-            raise MalformedArtifact(path, "line 1: run header is not a JSON object")
-        results = {}
-        for line_no, raw in enumerate(fh, start=2):
-            try:
-                line = raw.decode("utf-8")
-                if not line.strip():
-                    continue
-                query_id, rank, doc_id, score = line.rstrip("\n").split("\t")
-                int(rank)  # line order gives the rank; the field is only checked
-                result = (doc_id, float(score))
-            except ValueError:
-                raise MalformedArtifact(
-                    path, f"line {line_no}: expected UTF-8 query, integer rank, doc and score"
-                ) from None
-            results.setdefault(query_id, []).append(result)
+            raise MalformedArtifact(
+                path, f"line {line_no}: expected query, integer rank, doc and score"
+            ) from None
+        results.setdefault(query_id, []).append(result)
     return RetrievalRun(results, header.get("provenance", {}))

@@ -1,11 +1,11 @@
 """Exact top-k cosine retrieval over unit-norm document embeddings."""
 
-import json
 import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import artifacts
 from .encoder import _doc_inputs, _encode_docs
 from .errors import (
     DimensionMismatch,
@@ -170,9 +170,7 @@ def save_index(index, path):
         "patient_ids": list(index.patient_ids),
         "report_chars": [int(c) for c in index.report_chars],
     }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        fh.write(np.ascontiguousarray(index.matrix, dtype="<f8").tobytes())
+    artifacts.write_matrices(path, header, index.matrix)
 
 
 def _is_count(value, minimum):
@@ -186,15 +184,7 @@ def load_index(path):
     checkpoint sha256 (hex) or null, and n entries per id list, and the body
     holds exactly n x embedding_dim finite float64 values.
     """
-    with open(path, "rb") as fh:
-        line = fh.readline()
-        body = fh.read()
-    try:
-        header = json.loads(line)
-    except ValueError:
-        raise MalformedArtifact(path, "index header is not a JSON line") from None
-    if not isinstance(header, dict) or header.get("schema_version") != INDEX_VERSION:
-        raise MalformedArtifact(path, f"index schema_version is not {INDEX_VERSION!r}")
+    header, body = artifacts.read_header(path, "index", INDEX_VERSION)
     n, e = header.get("n"), header.get("embedding_dim")
     if not (_is_count(n, 0) and _is_count(e, 1)):
         raise MalformedArtifact(path, f"bad index shape n={n!r} embedding_dim={e!r}")
@@ -211,13 +201,7 @@ def load_index(path):
         values = header.get(key)
         if not isinstance(values, list) or len(values) != n or not all(map(valid, values)):
             raise MalformedArtifact(path, f"index {key} is not {n} valid entries")
-    if len(body) != n * e * 8:
-        raise MalformedArtifact(
-            path, f"index body is {len(body)} bytes, expected {n * e * 8} for {n} x {e} float64"
-        )
-    matrix = np.frombuffer(body, dtype="<f8").reshape(n, e).copy()
-    if not np.isfinite(matrix).all():
-        raise MalformedArtifact(path, "index matrix has non-finite entries")
+    [matrix] = artifacts.read_matrices(path, "index", body, (n, e))
     return EmbeddingIndex(
         header["doc_ids"], matrix, header["patient_ids"], header["report_chars"], checkpoint_sha256
     )

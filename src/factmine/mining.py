@@ -1,10 +1,10 @@
 """Mining of factually similar positive report pairs from a train split."""
 
-import json
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
+from . import artifacts
 from .errors import EmptyTrainSplit, InvalidConfig, LengthMismatch, MalformedArtifact
 from .metrics import fact_items
 
@@ -222,14 +222,12 @@ def threshold_sweep(corpus, grid):
 
 def write_pairs(pair_set, path):
     """Line-delimited pair file; header carries the mining config and stats."""
-    with open(path, "w", encoding="utf-8") as fh:
-        header = {"config": asdict(pair_set.config), "stats": pair_set.stats}
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for query_id in sorted(pair_set.pairs):
-            for p in pair_set.pairs[query_id]:
-                fh.write(
-                    f"{query_id}\t{p.doc_id}\t{p.rank}\t{p.rad_score!r}\t{p.chex_score!r}\n"
-                )
+    header = {"config": asdict(pair_set.config), "stats": pair_set.stats}
+    artifacts.write_lines(path, [
+        artifacts.to_json(header),
+        *(f"{query_id}\t{p.doc_id}\t{p.rank}\t{p.rad_score!r}\t{p.chex_score!r}"
+          for query_id in sorted(pair_set.pairs) for p in pair_set.pairs[query_id]),
+    ])
 
 
 def read_pairs(path):
@@ -239,25 +237,19 @@ def read_pairs(path):
     object with a valid mining config and every pair line is UTF-8 with
     five tab-separated fields, an integer rank and two float scores.
     """
-    with open(path, "rb") as fh:
+    header, lines = artifacts.read_headed_lines(path, "pairs")
+    try:
+        config = MiningConfig(**header["config"])
+    except (ValueError, TypeError, KeyError):
+        raise MalformedArtifact(path, "line 1: pairs header has no valid mining config") from None
+    pairs = {}
+    for line_no, line in lines:
         try:
-            header = json.loads(fh.readline())
-            config = MiningConfig(**header["config"])
-        except (ValueError, TypeError, KeyError):
+            query_id, doc_id, rank, rad, chex = line.split("\t")
+            pair = MinedPair(doc_id, int(rank), float(rad), float(chex))
+        except ValueError:
             raise MalformedArtifact(
-                path, "line 1: pairs header is not a JSON line with a mining config"
+                path, f"line {line_no}: expected query, doc, integer rank and two scores"
             ) from None
-        pairs = {}
-        for line_no, raw in enumerate(fh, start=2):
-            try:
-                line = raw.decode("utf-8")
-                if not line.strip():
-                    continue
-                query_id, doc_id, rank, rad, chex = line.rstrip("\n").split("\t")
-                pair = MinedPair(doc_id, int(rank), float(rad), float(chex))
-            except ValueError:
-                raise MalformedArtifact(
-                    path, f"line {line_no}: expected UTF-8 query, doc, integer rank and two scores"
-                ) from None
-            pairs.setdefault(query_id, []).append(pair)
+        pairs.setdefault(query_id, []).append(pair)
     return PairSet(pairs, config, header.get("stats", {}))

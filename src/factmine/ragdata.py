@@ -3,6 +3,7 @@
 import json
 from dataclasses import dataclass
 
+from . import artifacts
 from .encoder import encode_query
 from .errors import EmptyCandidateSet, InvalidConfig, MalformedArtifact
 from .evaluator import oracle_retrieve
@@ -75,22 +76,17 @@ def build_rag_dataset(corpus, params, policy, mode):
 
 
 def write_rag_dataset(examples, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        for ex in examples:
-            fh.write(
-                json.dumps(
-                    {
-                        "id": ex.query_report_id,
-                        "image": ex.image_ref,
-                        "prompt": ex.prompt_text,
-                        "target": ex.target_text,
-                        "retrieved_id": ex.retrieved_doc_id,
-                        "mode": ex.mode,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    artifacts.write_lines(path, (
+        artifacts.to_json({
+            "id": ex.query_report_id,
+            "image": ex.image_ref,
+            "prompt": ex.prompt_text,
+            "target": ex.target_text,
+            "retrieved_id": ex.retrieved_doc_id,
+            "mode": ex.mode,
+        })
+        for ex in examples
+    ))
 
 
 def read_rag_dataset(path):
@@ -100,26 +96,22 @@ def read_rag_dataset(path):
     JSON: an object with all six keys.
     """
     examples = []
-    with open(path, "rb") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode("utf-8")
-                if not line.strip():
-                    continue
-                obj = json.loads(line)
-                example = RagExample(
-                    query_report_id=obj["id"],
-                    image_ref=obj["image"],
-                    retrieved_doc_id=obj["retrieved_id"],
-                    prompt_text=obj["prompt"],
-                    target_text=obj["target"],
-                    mode=obj["mode"],
-                )
-            except (ValueError, TypeError, KeyError):
-                raise MalformedArtifact(
-                    path,
-                    f"line {line_no}: expected a UTF-8 JSON object with keys "
-                    "id, image, prompt, target, retrieved_id and mode",
-                ) from None
-            examples.append(example)
+    for line_no, line in artifacts.read_lines(path):
+        try:
+            obj = json.loads(line)
+            example = RagExample(
+                query_report_id=obj["id"],
+                image_ref=obj["image"],
+                retrieved_doc_id=obj["retrieved_id"],
+                prompt_text=obj["prompt"],
+                target_text=obj["target"],
+                mode=obj["mode"],
+            )
+        except (ValueError, TypeError, KeyError):
+            raise MalformedArtifact(
+                path,
+                f"line {line_no}: expected a JSON object with keys "
+                "id, image, prompt, target, retrieved_id and mode",
+            ) from None
+        examples.append(example)
     return examples

@@ -237,7 +237,7 @@ REQUIRED_FLAG_CONFIGS = [
     }),
     (["sweep", "--output", "sweep.jsonl"], "sweep.jsonl", {
         "corpus": "corpus.jsonl", "output": "sweep.jsonl", "chexbert_grid": "0,0.4,0.8,1.0",
-        "radgraph_grid": "0,0.2,0.4,0.6,0.8", "top_k": 2, "include_self": True,
+        "radgraph_grid": "0,0.2,0.4,0.6,0.8", "top_k": 2,
     }),
     (["train", "--pairs", "pairs.tsv", "--checkpoint", "enc.ckpt", "--seed", "7"], "enc.ckpt", {
         "corpus": "corpus.jsonl", "pairs": "pairs.tsv", "checkpoint": "enc.ckpt", "log": None,
@@ -347,3 +347,36 @@ def test_id_option_that_looks_like_a_number_stays_an_id(workdir, capsys, via_con
     assert set(doc) == {"factual_similarity", "chexbert_instance", "rouge_l"}
     if via_config:
         assert read_config_file(workdir / "score.cfg")["a"] == "00012"
+
+
+@pytest.mark.parametrize("argv, missing", [
+    (["mine", "--corpus", "corpus.jsonl"], ["--pairs"]),
+    (["sweep", "--output", "sweep.jsonl"], ["--corpus"]),
+    (["train", "--corpus", "corpus.jsonl", "--log", "train.log"],
+     ["--pairs", "--checkpoint", "--seed"]),
+    (["index", "--corpus", "corpus.jsonl", "--index", "docs.idx"], ["--checkpoint"]),
+    (["retrieve", "--corpus", "corpus.jsonl", "--checkpoint", "enc.ckpt", "--index", "docs.idx"],
+     ["--run"]),
+    (["eval", "--corpus", "corpus.jsonl", "--run", "run.tsv"], ["--output"]),
+    (["oracle", "--corpus", "corpus.jsonl"], ["--run"]),
+    (["build-rag", "--corpus", "corpus.jsonl", "--output", "rag.jsonl"], ["--checkpoint"]),
+    (["score", "--corpus", "corpus.jsonl", "--b", "s00001"], ["--a"]),
+], ids=["mine", "sweep", "train", "index", "retrieve", "eval", "oracle", "build-rag", "score"])
+def test_missing_required_option_is_mapped_error(workdir, capsys, argv, missing):
+    before = sorted(workdir.iterdir())
+    record = assert_mapped_error(main(argv), capsys, "InvalidConfig")
+    assert all(flag in record["message"] for flag in missing)
+    assert sorted(workdir.iterdir()) == before
+
+
+@pytest.mark.parametrize("mode", ["vqa", "oracle-rag"])
+def test_build_rag_without_retrieval_needs_no_checkpoint(workdir, mode):
+    assert main(["build-rag", "--corpus", "corpus.jsonl", "--output", "rag.jsonl",
+                 "--mode", mode]) == 0
+    assert (workdir / "rag.jsonl").exists()
+
+
+def test_non_utf8_config_file_is_mapped_error(workdir, capsys):
+    (workdir / "mine.cfg").write_bytes(b"corpus = corpus.jsonl\npairs = pairs\xff.tsv\n")
+    record = assert_mapped_error(main(["mine", "--config", "mine.cfg"]), capsys, "MalformedArtifact")
+    assert record["message"].startswith("mine.cfg: line 2: ")

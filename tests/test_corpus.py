@@ -291,13 +291,19 @@ def reference_record(obj, line_no, d_img, d_txt):
             if not (0 <= src < len(entities) and 0 <= dst < len(entities)):
                 raise malformed("relation out of range")
             relations.append((src, rel, dst))
-        img = np.asarray(obj["image_features"], dtype=np.float64)
-        txt = obj.get("text_features")
-        txt = None if txt is None else np.asarray(txt, dtype=np.float64)
-        fields = {k: str(obj[k]) for k in ("report_id", "patient_id", "split", "report_text")}
+        features = [obj["image_features"], obj.get("text_features")]
+        for value in features:
+            if value is not None and not (
+                isinstance(value, list) and all(type(v) in (int, float) for v in value)
+            ):
+                raise malformed("features not a list of numbers")
+        img, txt = (None if v is None else np.asarray(v, dtype=np.float64) for v in features)
+        fields = {k: obj[k] for k in ("report_id", "patient_id", "split", "report_text")}
+        if not all(isinstance(fields[k], str) for k in ("report_id", "patient_id", "report_text")):
+            raise malformed("text field not a string")
         if fields["split"] not in SPLITS:
             raise malformed("bad split")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise malformed(str(exc)) from exc
     if img.shape != (d_img,) or (txt is not None and txt.shape != (d_txt,)):
         raise DimensionMismatch(f"line {line_no}: bad feature dimension")
@@ -308,6 +314,11 @@ def reference_record(obj, line_no, d_img, d_txt):
 def reference_load(data):
     lines = data.split(b"\n")
     header = json.loads(lines[0])
+    d_img, d_txt = header["d_img"], header["d_txt"]
+    if not (type(d_img) is int and d_img >= 1 and type(d_txt) is int and d_txt >= 0):
+        raise MalformedRecord(1, "bad dimensions")
+    if header["schema_version"] != "1":
+        raise MalformedRecord(1, "bad schema_version")
     records, ids = [], set()
     for line_no, raw in enumerate(lines[1:], start=2):
         try:
@@ -320,7 +331,7 @@ def reference_load(data):
             obj = json.loads(text)
         except ValueError:
             raise MalformedRecord(line_no, "invalid JSON") from None
-        rec = reference_record(obj, line_no, header["d_img"], header["d_txt"])
+        rec = reference_record(obj, line_no, d_img, d_txt)
         if rec["report_id"] in ids:
             raise DuplicateId(rec["report_id"], line_no)
         ids.add(rec["report_id"])
@@ -378,6 +389,13 @@ FAULTS = {
     "text-dim": lambda o: o.update(text_features=[1.0]),
     "image-text": lambda o: o["image_features"].__setitem__(0, "a"),
     "image-nested": lambda o: o.update(image_features=[[1.0], [2.0]]),
+    "image-bool": lambda o: o["image_features"].__setitem__(1, True),
+    "image-huge-int": lambda o: o["image_features"].__setitem__(0, 10**400),
+    "text-strings": lambda o: o.update(text_features=["0.5", "2.0"]),
+    "text-bool": lambda o: o.update(text_features=[0.5, False]),
+    "report-id-number": lambda o: o.update(report_id=12),
+    "patient-id-number": lambda o: o.update(patient_id=7),
+    "report-text-number": lambda o: o.update(report_text=5),
     "image-nan": lambda o: o["image_features"].__setitem__(0, float("nan")),
     "text-inf": lambda o: o.update(text_features=[0.0, float("-inf")]),
     "duplicate": lambda o: o.update(report_id="r0"),
@@ -389,11 +407,17 @@ RAW_FAULTS = {
     "not-json": lambda line: line[:-1],
     "not-object": lambda line: b"[1, 2]",
 }
+# Each turns the valid HEADER into a malformed one.
+HEADER_FAULTS = [
+    {"d_img": 2.9}, {"d_img": 2.0}, {"d_img": True}, {"d_img": 0}, {"d_txt": "2"},
+    {"d_txt": -1}, {"schema_version": 1}, {"schema_version": "2"},
+]
 
 
 @st.composite
 def corpus_files(draw):
-    lines = [json.dumps(HEADER).encode()]
+    header = draw(st.sampled_from([{}] * 20 + HEADER_FAULTS))
+    lines = [json.dumps({**HEADER, **header}).encode()]
     for i in range(draw(st.integers(0, 7))):
         if draw(st.integers(0, 5)) == 0:
             lines.append(draw(st.sampled_from([b"", b"   ", b"\t"])))
@@ -409,7 +433,7 @@ def corpus_files(draw):
             "split": draw(st.sampled_from(SPLITS)), "report_text": "text",
             "labels": draw(st.lists(st.integers(0, 1), min_size=5, max_size=5)),
             "entities": entities, "relations": [list(r) for r in relations],
-            "image_features": [float(i), -1.5],
+            "image_features": [i, -1.5],
             "text_features": draw(st.sampled_from([None, [0.25, 2.0]])),
         }
         fault = draw(st.sampled_from([None] * 20 + sorted(FAULTS) + sorted(RAW_FAULTS)))
