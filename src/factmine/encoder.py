@@ -325,22 +325,31 @@ def _batches(inputs, examples, order, batch_size, hard_negs, k):
 
 
 def _validation_mrr(params, corpus, judgments):
-    """MRR of validation queries against the train corpus, for early stopping."""
-    from .evaluator import RetrievalRun, mrr
-    from .index import ExclusionPolicy, build_index, search
+    """MRR of validation queries against the train corpus, for early stopping.
+
+    Equals `evaluator.mrr` over full `search` rankings, float for float:
+    each query's first relevant rank is counted by `_rank_of_first`
+    instead of ranking every document, and the reciprocals are summed in
+    the same order.
+    """
+    from .index import ExclusionPolicy, _rank_of_first, _scores, build_index
 
     val = corpus.split("validation")
     if not val:
         return None
     index = build_index(corpus, params, "train")
     policy = ExclusionPolicy(exclude_self=False, exclude_same_patient=False, min_report_chars=0)
-    results = {}
+    row_of = {doc_id: i for i, doc_id in enumerate(index.doc_ids)}
+    total = 0.0
     for rec in val:
-        q = encode_query(params, rec.image_features)
-        results[rec.report_id] = search(
-            index, q, len(index.doc_ids), policy, (rec.report_id, rec.patient_id)
-        )
-    return mrr(RetrievalRun(results), judgments)
+        wanted = np.zeros(len(row_of), dtype=bool)
+        relevant = judgments.relevant.get(rec.report_id, ())
+        wanted[[row_of[doc_id] for doc_id in relevant if doc_id in row_of]] = True
+        scores = _scores(index, encode_query(params, rec.image_features))
+        rank = _rank_of_first(index, scores, wanted, policy, (rec.report_id, rec.patient_id))
+        if rank:
+            total += 1.0 / rank
+    return total / len(val)
 
 
 def _hard_negatives(params, corpus, pairs, k):
@@ -354,7 +363,9 @@ def _hard_negatives(params, corpus, pairs, k):
         rec = corpus[query_id]
         q = encode_query(params, rec.image_features)
         positives = set(pairs.doc_ids(query_id))
-        ranked = search(index, q, len(index.doc_ids), policy, (rec.report_id, rec.patient_id))
+        # search's order is total, so its top k + |positives| rows are a
+        # prefix of the full ranking holding the first k non-positives.
+        ranked = search(index, q, k + len(positives), policy, (rec.report_id, rec.patient_id))
         picked = [doc_id for doc_id, _ in ranked if doc_id not in positives][:k]
         out[query_id] = picked
     return out

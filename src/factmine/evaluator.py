@@ -128,19 +128,22 @@ def read_run(path):
     """Read a file written by write_run.
 
     Raises MalformedArtifact, naming the line, unless the header is a JSON
-    object and every result line is UTF-8 with four tab-separated fields,
-    an integer rank and a float score.
+    object and every result line is UTF-8 with four tab-separated fields:
+    a rank equal to the line's 1-based position among its query's lines,
+    and a finite score.
     """
     header, lines = artifacts.read_headed_lines(path, "run")
     results = {}
     for line_no, line in lines:
         try:
             query_id, rank, doc_id, score = line.split("\t")
-            int(rank)  # line order gives the rank; the field is only checked
-            result = (doc_id, float(score))
+            ranked = results.setdefault(query_id, [])
+            score = float(score)
+            if int(rank) != len(ranked) + 1 or not np.isfinite(score):
+                raise ValueError
         except ValueError:
             raise MalformedArtifact(
-                path, f"line {line_no}: expected query, integer rank, doc and score"
+                path, f"line {line_no}: expected query, rank in order from 1, doc and finite score"
             ) from None
-        results.setdefault(query_id, []).append(result)
+        ranked.append((doc_id, score))
     return RetrievalRun(results, header.get("provenance", {}))

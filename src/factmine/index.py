@@ -142,6 +142,27 @@ def search(index, query_embedding, k, policy, query_identity):
     return [(index.doc_ids[i], s) for i, s in zip(top, scores[top].tolist())]
 
 
+def _rank_of_first(index, scores, wanted, policy, query_identity):
+    """1-based rank, in `search`'s order, of the first eligible row in `wanted`.
+
+    scores are `_scores` of the query and wanted a boolean mask over rows.
+    Counts the eligible rows ahead of that row in O(n), without ranking
+    them; returns 0 when no eligible row is wanted. Raises
+    EmptyCandidateSet where `search` would.
+    """
+    rows = _row_arrays(index)
+    eligible = _eligible(rows, policy, query_identity)
+    if not eligible.any():
+        raise EmptyCandidateSet(f"no eligible documents for query {query_identity[0]!r}")
+    hits = np.flatnonzero(eligible & wanted)
+    if hits.size == 0:
+        return 0
+    best = scores[hits].max()
+    first = rows.id_rank[hits[scores[hits] == best]].min()
+    ahead = (scores > best) | ((scores == best) & (rows.id_rank < first))
+    return int(np.count_nonzero(ahead & eligible)) + 1
+
+
 def search_batch(index, query_embeddings, k, policy, identities):
     """Elementwise equal (and bit-identical) to per-query search."""
     if len(query_embeddings) != len(identities):

@@ -235,7 +235,8 @@ def read_pairs(path):
 
     Raises MalformedArtifact, naming the line, unless the header is a JSON
     object with a valid mining config and every pair line is UTF-8 with
-    five tab-separated fields, an integer rank and two float scores.
+    five tab-separated fields: an integer rank >= 0 and two finite scores
+    in [0, 1] (a graph Dice and a label agreement).
     """
     header, lines = artifacts.read_headed_lines(path, "pairs")
     try:
@@ -247,9 +248,11 @@ def read_pairs(path):
         try:
             query_id, doc_id, rank, rad, chex = line.split("\t")
             pair = MinedPair(doc_id, int(rank), float(rad), float(chex))
+            if pair.rank < 0 or not all(0.0 <= s <= 1.0 for s in (pair.rad_score, pair.chex_score)):
+                raise ValueError
         except ValueError:
             raise MalformedArtifact(
-                path, f"line {line_no}: expected query, doc, integer rank and two scores"
+                path, f"line {line_no}: expected query, doc, a rank >= 0 and two scores in [0, 1]"
             ) from None
         pairs.setdefault(query_id, []).append(pair)
     return PairSet(pairs, config, header.get("stats", {}))

@@ -93,7 +93,8 @@ def read_rag_dataset(path):
     """Read a file written by write_rag_dataset.
 
     Raises MalformedArtifact, naming the line, unless every line is UTF-8
-    JSON: an object with all six keys.
+    JSON: an object whose id, image, prompt and target are strings, whose
+    retrieved_id is a string or null and whose mode is one of MODES.
     """
     examples = []
     for line_no, line in artifacts.read_lines(path):
@@ -107,11 +108,19 @@ def read_rag_dataset(path):
                 target_text=obj["target"],
                 mode=obj["mode"],
             )
+            texts = (example.query_report_id, example.image_ref, example.prompt_text,
+                     example.target_text)
+            if (
+                not all(isinstance(t, str) for t in texts)
+                or not isinstance(example.retrieved_doc_id, (str, type(None)))
+                or example.mode not in MODES
+            ):
+                raise ValueError
         except (ValueError, TypeError, KeyError):
             raise MalformedArtifact(
                 path,
-                f"line {line_no}: expected a JSON object with keys "
-                "id, image, prompt, target, retrieved_id and mode",
+                f"line {line_no}: expected a JSON object with text id, image, prompt and "
+                "target, a text or null retrieved_id and a known mode",
             ) from None
         examples.append(example)
     return examples

@@ -149,8 +149,22 @@ def test_unknown_config_file_key_is_mapped_error(workdir, capsys):
     ("pairs.tsv", 2, "s00001\ts00002\tone\t0.5\t1.0"),
     ("pairs.tsv", 3, "s00001\ts00002\t1\t0.5\tall"),
     ("pairs.tsv", 1, "not json"),
+    ("run.tsv", 2, "s00001\t-3\ts00002\tnan"),
+    ("run.tsv", 2, "s00001\t0\ts00002\t0.5"),
+    ("run.tsv", 2, "s00001\t2\ts00002\t0.5"),
+    ("run.tsv", 2, "s00001\t1\ts00002\tnan"),
+    ("run.tsv", 2, "s00001\t1\ts00002\t-inf"),
+    ("pairs.tsv", 2, "s00001\ts00002\t-7\tnan\tinf"),
+    ("pairs.tsv", 2, "s00001\ts00002\t-1\t0.5\t0.5"),
+    ("pairs.tsv", 3, "s00001\ts00002\t1\tnan\t0.5"),
+    ("pairs.tsv", 3, "s00001\ts00002\t1\t0.5\tinf"),
+    ("pairs.tsv", 3, "s00001\ts00002\t1\t1.5\t0.5"),
+    ("pairs.tsv", 3, "s00001\ts00002\t1\t0.5\t-0.2"),
 ], ids=["run-field-count", "run-rank", "run-score", "run-header", "pairs-field-count",
-        "pairs-rank", "pairs-score", "pairs-header"])
+        "pairs-rank", "pairs-score", "pairs-header", "run-negative-rank-nan-score",
+        "run-rank-zero", "run-rank-not-position", "run-score-nan", "run-score-inf",
+        "pairs-negative-rank-nan-inf-scores", "pairs-rank-negative", "pairs-score-nan",
+        "pairs-score-inf", "pairs-score-above-one", "pairs-score-negative"])
 def test_malformed_pair_or_run_line_is_mapped_error(workdir, capsys, artifact, line_no, text):
     run_pipeline()
     lines = (workdir / artifact).read_text().splitlines()
@@ -174,8 +188,10 @@ def test_malformed_pair_or_run_line_is_mapped_error(workdir, capsys, artifact, l
 def test_non_utf8_line_is_mapped_error(workdir, capsys, artifact, line):
     run_pipeline()
     header, *lines = (workdir / artifact).read_bytes().splitlines(keepends=True)
-    # past the first 8 KiB, which a text-mode reader decodes with the header
-    body = lines * (1 + 8192 // len(b"".join(lines))) + [line]
+    # past the first 8 KiB, which a text-mode reader decodes with the header;
+    # each copy renames its queries, so run ranks stay in order
+    copies = range(1 + 8192 // len(b"".join(lines)))
+    body = [b"c%d" % c + text for c in copies for text in lines] + [line]
     bad = "bad_" + artifact
     (workdir / bad).write_bytes(header + b"".join(body))
     capsys.readouterr()

@@ -1,15 +1,18 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from factmine.corpus import synth_corpus
+from factmine.corpus import Corpus, synth_corpus
 from factmine.encoder import (
     EncoderParams,
     TrainConfig,
     _batch_loss,
+    _hard_negatives,
     _stack_inputs,
+    _validation_mrr,
     contrastive_loss,
     encode_doc,
     encode_query,
@@ -25,7 +28,9 @@ from factmine.errors import (
     MissingTextFeatures,
     NoPositives,
 )
-from factmine.mining import MiningConfig, mine_pairs
+from factmine.evaluator import RetrievalRun, judge_relevance, mrr
+from factmine.index import ExclusionPolicy, build_index, search
+from factmine.mining import SELF_RANK, MinedPair, MiningConfig, PairSet, mine_pairs
 
 
 def axis_params(d_img=2, d_txt=2):
@@ -367,9 +372,6 @@ def test_train_improves_validation_mrr():
     corpus, pairs = small_training_setup(seed=11, n=140)
     config = TrainConfig(learning_rate=0.05, max_epochs=5, seed=11, embedding_dim=32)
     params, log = train(corpus, pairs, config)
-    from factmine.encoder import _validation_mrr
-    from factmine.evaluator import judge_relevance
-
     judgments = judge_relevance(corpus, 0.6, 0.1, query_split="validation")
     trained = _validation_mrr(params, corpus, judgments)
     untrained = _validation_mrr(
@@ -409,6 +411,128 @@ def test_hard_negative_stage_runs():
     params, log = train(corpus, pairs, config)
     stages = {entry["stage"] for entry in log}
     assert stages == {"in_batch", "hard_negative"}
+
+
+# --- training-time retrieval against full rankings ---------------------------
+
+VAL_POLICY = ExclusionPolicy(exclude_self=False, exclude_same_patient=False, min_report_chars=0)
+HARD_POLICY = ExclusionPolicy(exclude_self=True, exclude_same_patient=False, min_report_chars=0)
+
+
+def tied_setup(seed=3, n=80, shared=5):
+    """synth_corpus whose train documents share `shared` feature vectors, and
+    heads quantised to halves, so that many scores tie exactly."""
+    corpus = synth_corpus(seed, n)
+    protos = corpus.split("train")[:shared]
+    records = [
+        replace(r, image_features=protos[i % shared].image_features,
+                text_features=protos[i % shared].text_features)
+        if r.split == "train" else r
+        for i, r in enumerate(corpus.records)
+    ]
+    corpus = Corpus(records, corpus.d_img, corpus.d_txt)
+    p = init_params(seed, corpus.d_img, corpus.d_txt, 4)
+    return corpus, EncoderParams(np.round(p.w_q * 2) / 2, np.round(p.w_d * 2) / 2, p.temperature)
+
+
+def plain_setup(seed=4, n=80):
+    corpus = synth_corpus(seed, n)
+    return corpus, init_params(seed, corpus.d_img, corpus.d_txt, 8)
+
+
+def full_ranking(index, params, rec, policy):
+    q = encode_query(params, rec.image_features)
+    return search(index, q, len(index.doc_ids), policy, (rec.report_id, rec.patient_id))
+
+
+def full_ranking_mrr(params, corpus, judgments):
+    val = corpus.split("validation")
+    if not val:
+        return None
+    index = build_index(corpus, params, "train")
+    return mrr(
+        RetrievalRun({r.report_id: full_ranking(index, params, r, VAL_POLICY) for r in val}),
+        judgments,
+    )
+
+
+def foreign_and_empty_judgments(corpus, seed=0):
+    """Per validation query in turn: no entry, an empty set, only ids outside
+    the train split, and those plus a few train ids."""
+    rng = np.random.default_rng(seed)
+    train_ids = [r.report_id for r in corpus.split("train")]
+    foreign = [r.report_id for r in corpus.records if r.split != "train"] + ["absent"]
+    relevant = {}
+    for j, rec in enumerate(corpus.split("validation")):
+        if j % 4 == 0:
+            continue
+        picked = set() if j % 4 == 1 else set(rng.choice(foreign, 3).tolist())
+        if j % 4 == 3:
+            picked |= set(rng.choice(train_ids, 3).tolist())
+        relevant[rec.report_id] = picked
+    return replace(judge_relevance(corpus, 0.6, 0.1, query_split="validation"), relevant=relevant)
+
+
+@pytest.mark.parametrize("setup", [tied_setup, plain_setup])
+@pytest.mark.parametrize("judge", [
+    lambda corpus: judge_relevance(corpus, 0.6, 0.1, query_split="validation"),
+    lambda corpus: judge_relevance(corpus, 0.0, 0.0, query_split="validation"),
+    foreign_and_empty_judgments,
+], ids=["judged", "all-train-relevant", "foreign-and-empty"])
+def test_validation_mrr_equals_mrr_of_full_rankings(setup, judge):
+    corpus, params = setup()
+    judgments = judge(corpus)
+    got = _validation_mrr(params, corpus, judgments)
+    assert got.hex() == full_ranking_mrr(params, corpus, judgments).hex()
+    if setup is tied_setup:
+        index = build_index(corpus, params, "train")
+        scores = [s for _, s in full_ranking(index, params, corpus.split("validation")[0], VAL_POLICY)]
+        assert len(set(scores)) < len(scores)
+
+
+def test_validation_mrr_without_validation_split_is_none():
+    corpus, params = plain_setup()
+    records = [replace(r, split="test") if r.split == "validation" else r for r in corpus.records]
+    corpus = Corpus(records, corpus.d_img, corpus.d_txt)
+    judgments = judge_relevance(corpus, 0.6, 0.1, query_split="validation")
+    assert _validation_mrr(params, corpus, judgments) is None
+    assert full_ranking_mrr(params, corpus, judgments) is None
+
+
+def full_ranking_hard_negatives(params, corpus, pairs, k):
+    index = build_index(corpus, params, "train")
+    out = {}
+    for query_id in pairs.pairs:
+        positives = set(pairs.doc_ids(query_id))
+        ranked = full_ranking(index, params, corpus[query_id], HARD_POLICY)
+        out[query_id] = [doc_id for doc_id, _ in ranked if doc_id not in positives][:k]
+    return out
+
+
+def top_ranked_pairs(params, corpus, include_self, seed=0):
+    """Every third train query paired with its three top-ranked documents and
+    one random train document, so its first non-positives lie past rank k."""
+    rng = np.random.default_rng(seed)
+    index = build_index(corpus, params, "train")
+    pairs = {}
+    for rec in corpus.split("train")[::3]:
+        ranked = [doc_id for doc_id, _ in full_ranking(index, params, rec, HARD_POLICY)]
+        docs = ranked[:3] + [index.doc_ids[rng.integers(len(index.doc_ids))]]
+        own = [MinedPair(rec.report_id, SELF_RANK, 1.0, 1.0)] if include_self else []
+        pairs[rec.report_id] = own + [MinedPair(d, r, 0.5, 0.5) for r, d in enumerate(docs, 1)]
+    return PairSet(pairs, MiningConfig())
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+@pytest.mark.parametrize("include_self", [True, False], ids=["with-self", "without-self"])
+@pytest.mark.parametrize("setup", [tied_setup, plain_setup])
+def test_hard_negatives_equal_full_ranking_reference(setup, include_self, k):
+    corpus, params = setup()
+    mined = mine_pairs(corpus, MiningConfig(0.6, 0.1, top_k=5, include_self=include_self))
+    for pairs in (top_ranked_pairs(params, corpus, include_self), mined):
+        want = full_ranking_hard_negatives(params, corpus, pairs, k)
+        assert all(len(picked) == k for picked in want.values())
+        assert _hard_negatives(params, corpus, pairs, k) == want
 
 
 def saved_checkpoint(tmp_path):

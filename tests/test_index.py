@@ -176,8 +176,8 @@ def test_index_file_roundtrip(tmp_path):
 # --- vectorised selection against the naive scan ----------------------------
 
 
-def naive_search(index, scores, k, policy, query_identity):
-    """Python-loop exclusions and a full sort on (-score, doc_id)."""
+def naive_rows(index, scores, policy, query_identity):
+    """Rows left by Python-loop exclusions, fully sorted on (-score, doc_id)."""
     report_id, patient_id = query_identity
     rows = [
         i
@@ -186,7 +186,12 @@ def naive_search(index, scores, k, policy, query_identity):
         and not (policy.exclude_same_patient and index.patient_ids[i] == patient_id)
         and index.report_chars[i] >= policy.min_report_chars
     ]
-    ranked = sorted(rows, key=lambda i: (-scores[i], index.doc_ids[i]))
+    return sorted(rows, key=lambda i: (-scores[i], index.doc_ids[i]))
+
+
+def naive_search(index, scores, k, policy, query_identity):
+    """Python-loop exclusions and a full sort on (-score, doc_id)."""
+    ranked = naive_rows(index, scores, policy, query_identity)
     return [(index.doc_ids[i], float(scores[i])) for i in ranked[:k]]
 
 
@@ -246,6 +251,30 @@ def test_search_matches_naive_scan(problem):
             got = search_batch(index, [q for q, _, _ in live], k, policy, [i for _, i, _ in live])
             want = [naive_search(index, s, k, policy, i) for _, i, s in live]
             assert [bits(hits) for hits in got] == [bits(hits) for hits in want]
+
+
+@settings(max_examples=300, deadline=None)
+@given(search_problems(), st.data())
+def test_rank_of_first_matches_naive_scan(problem, data):
+    index, direct, policy, queries, _, _ = problem
+    n = len(index.doc_ids)
+    scored = mock.patch.object(index_module, "_scores", lambda _, q: q) if direct else contextlib.nullcontext()
+    with scored:
+        for q, identity in queries:
+            scores = index_module._scores(index, q)
+            wanted = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+            ranked = naive_rows(index, scores, policy, identity)
+            if not ranked:
+                for call in (
+                    lambda: index_module._rank_of_first(index, scores, wanted, policy, identity),
+                    lambda: search(index, q, n, policy, identity),
+                ):
+                    with pytest.raises(EmptyCandidateSet):
+                        call()
+                continue
+            # rows, not ids: an id may repeat across rows with different marks
+            want = next((pos for pos, i in enumerate(ranked, 1) if wanted[i]), 0)
+            assert index_module._rank_of_first(index, scores, wanted, policy, identity) == want
 
 
 def test_search_on_loaded_index_matches_built_index(tmp_path):

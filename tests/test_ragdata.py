@@ -108,6 +108,15 @@ def test_build_is_deterministic_and_roundtrips(tmp_path):
     assert read_rag_dataset(pa) == a
 
 
+@pytest.mark.parametrize("mode", ["vqa", "oracle-rag"])
+def test_modes_without_retrieval_roundtrip(tmp_path, mode):
+    # vqa writes a null retrieved_id, which the reader accepts
+    examples, _ = build_rag_dataset(synth_corpus(6, 30), None, POLICY, mode)
+    path = tmp_path / "rag.jsonl"
+    write_rag_dataset(examples, path)
+    assert read_rag_dataset(path) == examples
+
+
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError):
         build_rag_dataset(synth_corpus(1, 5), None, POLICY, "freeform")
@@ -119,6 +128,12 @@ def _without_id(line):
     return json.dumps(obj).encode() + b"\n"
 
 
+def _with(**fields):
+    def corrupt(line):
+        return json.dumps({**json.loads(line), **fields}).encode() + b"\n"
+    return corrupt
+
+
 @pytest.mark.parametrize("corrupt", [
     lambda line: b"garbage line\n",
     lambda line: line[:-20] + b"\n",
@@ -126,7 +141,18 @@ def _without_id(line):
     lambda line: b"[1, 2, 3]\n",
     lambda line: b"null\n",
     _without_id,
-], ids=["not-json", "truncated", "not-utf8", "array", "null", "missing-key"])
+    _with(id=5),
+    _with(image=None),
+    _with(prompt=3),
+    _with(target=[]),
+    _with(retrieved_id=7),
+    _with(retrieved_id=False),
+    _with(mode="bogus"),
+    _with(mode=None),
+    _with(id=5, image=None, prompt=3, target=[], retrieved_id=None, mode="bogus"),
+], ids=["not-json", "truncated", "not-utf8", "array", "null", "missing-key", "int-id",
+        "null-image", "int-prompt", "list-target", "int-retrieved-id", "false-retrieved-id",
+        "unknown-mode", "null-mode", "all-fields-wrong"])
 def test_malformed_rag_line_names_file_and_line(tmp_path, corrupt):
     corpus = synth_corpus(6, 10)
     examples, _ = build_rag_dataset(corpus, None, POLICY, "oracle-rag")
