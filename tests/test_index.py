@@ -18,6 +18,7 @@ from factmine.errors import (
 from factmine.index import (
     EmbeddingIndex,
     ExclusionPolicy,
+    _rank_of_first,
     build_index,
     load_index,
     save_index,
@@ -265,16 +266,14 @@ def test_rank_of_first_matches_naive_scan(problem, data):
             wanted = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
             ranked = naive_rows(index, scores, policy, identity)
             if not ranked:
-                for call in (
-                    lambda: index_module._rank_of_first(index, scores, wanted, policy, identity),
-                    lambda: search(index, q, n, policy, identity),
-                ):
-                    with pytest.raises(EmptyCandidateSet):
-                        call()
+                with pytest.raises(EmptyCandidateSet):
+                    _rank_of_first(index, scores, wanted, policy, identity)
+                with pytest.raises(EmptyCandidateSet):
+                    search(index, q, n, policy, identity)
                 continue
             # rows, not ids: an id may repeat across rows with different marks
             want = next((pos for pos, i in enumerate(ranked, 1) if wanted[i]), 0)
-            assert index_module._rank_of_first(index, scores, wanted, policy, identity) == want
+            assert _rank_of_first(index, scores, wanted, policy, identity) == want
 
 
 def test_search_on_loaded_index_matches_built_index(tmp_path):
