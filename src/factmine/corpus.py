@@ -15,6 +15,7 @@ from . import artifacts
 from .errors import (
     DimensionMismatch,
     DuplicateId,
+    InvalidConfig,
     MalformedRecord,
     UnknownId,
     UnknownLabelArity,
@@ -100,17 +101,38 @@ class ReportRecord:
 
 @dataclass
 class Corpus:
-    """Immutable after load; safe for concurrent readers."""
+    """Immutable after load; safe for concurrent readers.
+
+    Row i of `inputs` is record i's [image | text] input, with zero text
+    columns where `has_text` is False. The corpus owns the records it is
+    given: their features are rebound to views of their rows.
+    """
 
     records: list
     d_img: int
     d_txt: int
-    schema_version: str = SCHEMA_VERSION
-    by_id: dict = field(default_factory=dict)
+    by_id: dict = field(init=False, repr=False)
+    inputs: np.ndarray = field(init=False, repr=False, compare=False)
+    has_text: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.by_id:
-            self.by_id = {r.report_id: r for r in self.records}
+        records, d_img, d_txt = self.records, self.d_img, self.d_txt
+        self.by_id = {r.report_id: r for r in records}
+        self.inputs = np.zeros((len(records), d_img + d_txt))
+        for r, row in zip(records, self.inputs):
+            img, txt = np.shape(r.image_features), np.shape(r.text_features)
+            if img != (d_img,) or (r.text_features is not None and txt != (d_txt,)):
+                raise DimensionMismatch(
+                    f"{r.report_id}: features have shapes {img}/{txt}, "
+                    f"expected ({d_img},)/({d_txt},)"
+                )
+            row[:d_img] = r.image_features
+            r.image_features = row[:d_img]
+            if r.text_features is not None:
+                row[d_img:] = r.text_features
+                r.text_features = row[d_img:]
+        self.has_text = np.array([r.text_features is not None for r in records], dtype=bool)
+        self._rows = {name: np.flatnonzero([r.split == name for r in records]) for name in SPLITS}
 
     def __len__(self):
         return len(self.records)
@@ -121,8 +143,24 @@ class Corpus:
         except KeyError:
             raise UnknownId(report_id) from None
 
+    def rows(self, name):
+        """Positions of the split's records, in corpus order."""
+        if name not in SPLITS:
+            raise InvalidConfig(f"unknown split {name!r}; expected one of {', '.join(SPLITS)}")
+        return self._rows[name]
+
     def split(self, name):
-        return [r for r in self.records if r.split == name]
+        return [self.records[i] for i in self.rows(name).tolist()]
+
+
+def _id_order(ids):
+    """Each position's rank in ascending id order, and id -> positions carrying it."""
+    rank = np.empty(len(ids), dtype=np.intp)
+    rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    rows_of = {}
+    for i, doc_id in enumerate(ids):
+        rows_of.setdefault(doc_id, []).append(i)
+    return rank, rows_of
 
 
 # Every binary label vector, each mapped to itself so that records share it.
@@ -291,13 +329,13 @@ def load_corpus(path):
             # Also when a later line failed: a non-finite feature on an
             # earlier line comes first.
             _require_finite(records, line_nos)
-    return Corpus(records, d_img=d_img, d_txt=d_txt, schema_version=version)
+    return Corpus(records, d_img=d_img, d_txt=d_txt)
 
 
 def write_corpus(corpus, path):
     """Serialize a corpus back to the JSONL contract (round-trips load_corpus)."""
     header = {
-        "schema_version": corpus.schema_version,
+        "schema_version": SCHEMA_VERSION,
         "d_img": corpus.d_img,
         "d_txt": corpus.d_txt,
     }

@@ -147,27 +147,6 @@ def _encode_docs(params, z):
     return e
 
 
-def _doc_inputs(records, d_img, d_txt):
-    """(n, d_img + d_txt) matrix of each record's [image | text] features.
-
-    A record without text features keeps zero text columns. Raises
-    DimensionMismatch naming the first record whose features have another
-    shape.
-    """
-    z = np.zeros((len(records), d_img + d_txt))
-    for i, r in enumerate(records):
-        img, txt = np.shape(r.image_features), np.shape(r.text_features)
-        if img != (d_img,) or (r.text_features is not None and txt != (d_txt,)):
-            raise DimensionMismatch(
-                f"{r.report_id}: features have shapes {img}/{txt}, "
-                f"expected ({d_img},)/({d_txt},)"
-            )
-        z[i, :d_img] = r.image_features
-        if r.text_features is not None:
-            z[i, d_img:] = r.text_features
-    return z
-
-
 def _doc_input(doc):
     img, txt = doc
     if txt is None:
@@ -280,26 +259,10 @@ def _batch_loss(params, x, z, hard, hard_mask):
     return loss, x.T @ du, grad_w_d
 
 
-def _stack_inputs(corpus, examples):
-    """Row of each train report, with its image and document inputs.
-
-    Returns (rows, x, z): rows maps report id -> row, x is (n, d_img) and z
-    is (n, d_img + d_txt). Every paired document must have text features.
-    A report without them keeps zero text columns and is never gathered as
-    a document: hard negatives come from build_index, which refuses it.
-    """
-    for _, doc_id in examples:
-        if corpus[doc_id].text_features is None:
-            raise MissingTextFeatures(doc_id)
-    records = corpus.split("train")
-    rows = {r.report_id: i for i, r in enumerate(records)}
-    z = _doc_inputs(records, corpus.d_img, corpus.d_txt)
-    return rows, z[:, : corpus.d_img], z
-
-
 def _batches(inputs, examples, order, batch_size, hard_negs, k):
     """Per mini-batch `_batch_loss` inputs (x, z, hard, hard_mask), in `order`.
 
+    inputs is (rows, x, z): report id -> row of x (image) and z ([image | text]).
     Each query's hard negatives fill the first of k slots; the rest are
     masked out and hold its positive, so every slot normalizes.
     """
@@ -431,19 +394,22 @@ def train(corpus, pairs, config):
     """
     from .evaluator import judge_relevance
 
-    train_ids = {r.report_id for r in corpus.split("train")}
+    rows = {corpus.records[i].report_id: i for i in corpus.rows("train")}
     examples = []
     for query_id, entries in sorted(pairs.pairs.items()):
-        if query_id not in train_ids:
+        if query_id not in rows:
             raise NoPositives(f"pair query {query_id!r} is not in the train split")
         for p in entries:
-            if p.doc_id not in train_ids:
+            if p.doc_id not in rows:
                 raise NoPositives(f"pair doc {p.doc_id!r} is not in the train split")
             examples.append((query_id, p.doc_id))
     if not examples:
         raise NoPositives("pair set is empty")
-
-    inputs = _stack_inputs(corpus, examples)
+    # A report without text is never a document: build_index refuses it.
+    for _, doc_id in examples:
+        if not corpus.has_text[rows[doc_id]]:
+            raise MissingTextFeatures(doc_id)
+    inputs = (rows, corpus.inputs[:, : corpus.d_img], corpus.inputs)
 
     rng = np.random.default_rng(config.seed)
     params = init_params(

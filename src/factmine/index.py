@@ -6,7 +6,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import artifacts
-from .encoder import _doc_inputs, _encode_docs
+from .corpus import _id_order
+from .encoder import _encode_docs
 from .errors import (
     DimensionMismatch,
     EmptyCandidateSet,
@@ -59,11 +60,7 @@ def _row_arrays(index):
         patient = np.fromiter(
             (codes.setdefault(p, len(codes)) for p in index.patient_ids), dtype=np.int64, count=n
         )
-        id_rank = np.empty(n, dtype=np.int64)
-        id_rank[sorted(range(n), key=index.doc_ids.__getitem__)] = np.arange(n)
-        rows_of = {}
-        for i, doc_id in enumerate(index.doc_ids):
-            rows_of.setdefault(doc_id, []).append(i)
+        id_rank, rows_of = _id_order(index.doc_ids)
         rows = _RowArrays(
             codes, patient, np.asarray(index.report_chars, dtype=np.int64), id_rank, rows_of
         )
@@ -74,19 +71,20 @@ def _row_arrays(index):
 def build_index(corpus, params, split="train"):
     """Index the chosen split in corpus order.
 
-    Every document is encoded by one product of the split's stacked
-    [image | text] inputs with w_d, then normalised row by row.
+    Every document is encoded by one product of the split's rows of
+    `corpus.inputs` with w_d, then normalised row by row.
     """
     if (corpus.d_img, corpus.d_txt) != (params.d_img, params.d_txt):
         raise DimensionMismatch(
             f"corpus features are {corpus.d_img}/{corpus.d_txt}, "
             f"checkpoint expects {params.d_img}/{params.d_txt}"
         )
-    docs = corpus.split(split)
-    for rec in docs:
-        if rec.text_features is None:
-            raise MissingTextFeatures(rec.report_id)
-    matrix = _encode_docs(params, _doc_inputs(docs, params.d_img, params.d_txt))
+    rows = corpus.rows(split)
+    missing = rows[~corpus.has_text[rows]]
+    if missing.size:
+        raise MissingTextFeatures(corpus.records[missing[0]].report_id)
+    matrix = _encode_docs(params, corpus.inputs[rows])
+    docs = [corpus.records[i] for i in rows]
     return EmbeddingIndex(
         [r.report_id for r in docs],
         matrix,

@@ -5,6 +5,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import artifacts
+from .corpus import _id_order
 from .errors import EmptyTrainSplit, InvalidConfig, LengthMismatch, MalformedArtifact
 from .metrics import fact_items
 
@@ -77,11 +78,7 @@ class _FactIndex:
         np.cumsum(np.bincount(item_ids, minlength=len(self.vocab)), out=self.starts[1:])
         self.sizes = np.array(sizes, dtype=np.float64)
         self.labels = np.array([doc.labels for doc in self.docs], dtype=np.int8).reshape(n, 5)
-        self.rank = np.empty(n, dtype=np.intp)
-        self.rank[sorted(range(n), key=self.ids.__getitem__)] = np.arange(n)
-        self.rows = {}
-        for row, doc_id in enumerate(self.ids):
-            self.rows.setdefault(doc_id, []).append(row)
+        self.rank, self.rows = _id_order(self.ids)
 
     def scores(self, query):
         """(agree, rad, others) of `query` against every row.

@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ def make_record(
     d_img=4,
     d_txt=3,
 ):
-    rng = np.random.default_rng(abs(hash(report_id)) % (2**32))
+    rng = np.random.default_rng(zlib.crc32(report_id.encode()))
     return ReportRecord(
         report_id=report_id,
         patient_id=patient_id or f"pat-{report_id}",

@@ -303,8 +303,16 @@ def test_sidecar_config_records_defaults(workdir):
     (["build-rag", "--output", "bad.jsonl", "--mode", "bogus"], "InvalidConfig"),
     (["mine", "--pairs", "bad.tsv", "--top-k", "2.9"], "InvalidConfig"),
     (["mine", "--pairs", "bad.tsv", "--include-self", "maybe"], "InvalidConfig"),
+    (["index", "--checkpoint", "enc.ckpt", "--index", "bad.idx", "--split", "tets"],
+     "InvalidConfig"),
+    (["retrieve", "--checkpoint", "enc.ckpt", "--index", "docs.idx", "--run", "bad.tsv",
+      "--query-split", "tets"], "InvalidConfig"),
+    (["oracle", "--run", "bad.tsv", "--query-split", "Test"], "InvalidConfig"),
+    (["eval", "--run", "run.tsv", "--output", "bad.json", "--query-split", "tets"],
+     "InvalidConfig"),
 ], ids=["threshold-out-of-range", "top-k-not-int", "k-zero", "batch-size-zero", "unknown-id",
-        "unknown-mode", "top-k-not-integral", "include-self-not-bool"])
+        "unknown-mode", "top-k-not-integral", "include-self-not-bool", "index-split-misspelt",
+        "retrieve-split-misspelt", "oracle-split-misspelt", "eval-split-misspelt"])
 def test_bad_option_or_id_is_mapped_error(workdir, capsys, argv, error):
     run_pipeline()
     capsys.readouterr()

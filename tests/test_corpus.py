@@ -20,9 +20,12 @@ from factmine.errors import (
     DimensionMismatch,
     DuplicateId,
     FactmineError,
+    InvalidConfig,
     MalformedRecord,
     UnknownLabelArity,
 )
+
+from conftest import make_corpus, make_record
 
 HEADER = {"schema_version": "1", "d_img": 2, "d_txt": 2}
 
@@ -85,6 +88,28 @@ def test_null_text_features_allowed(tmp_path):
     path = write_file(tmp_path, [record_obj(text_features=None)])
     corpus = load_corpus(path)
     assert corpus["s1"].text_features is None
+
+
+@pytest.mark.parametrize("field, shape", [
+    ("image_features", (1,)),
+    ("image_features", (5,)),
+    ("text_features", (4,)),
+    ("text_features", (3, 1)),
+])
+def test_corpus_names_record_of_wrong_feature_shape(field, shape):
+    # An in-memory corpus skips load_corpus, so Corpus checks each record.
+    records = [make_record(f"s{i}") for i in range(4)]
+    setattr(records[2], field, np.ones(shape))
+    with pytest.raises(DimensionMismatch, match="s2"):
+        make_corpus(records)
+
+
+@pytest.mark.parametrize("name", ["tets", "Test"])
+def test_unknown_split_is_invalid_config(name):
+    corpus = make_corpus([make_record("s1")])
+    for method in (corpus.rows, corpus.split):
+        with pytest.raises(InvalidConfig, match=f"{name!r}.*train, validation, test"):
+            method(name)
 
 
 def test_invalid_json_line_reports_line_number(tmp_path):
@@ -456,6 +481,17 @@ def test_load_corpus_matches_naive_reference(tmp_path_factory, data):
         assert got == want
         return
     assert isinstance(got, list) and len(got) == len(want)
+    corpus = load_corpus(path)
+    no_text = np.zeros(corpus.d_txt)
+    rows = [np.concatenate([w["image_features"], no_text if w["text_features"] is None
+                            else w["text_features"]]) for w in want]
+    np.testing.assert_array_equal(
+        corpus.inputs, np.reshape(rows, (len(want), corpus.d_img + corpus.d_txt))
+    )
+    assert corpus.has_text.tolist() == [w["text_features"] is not None for w in want]
+    for rec, row in zip(corpus.records, corpus.inputs):
+        assert np.shares_memory(rec.image_features, row)
+        assert rec.text_features is None or np.shares_memory(rec.text_features, row)
     for g, w in zip(got, want):
         for key in ("image_features", "text_features"):
             np.testing.assert_array_equal(g.pop(key), w.pop(key))

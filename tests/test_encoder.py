@@ -11,7 +11,6 @@ from factmine.encoder import (
     TrainConfig,
     _batch_loss,
     _hard_negatives,
-    _stack_inputs,
     _validation_mrr,
     contrastive_loss,
     encode_doc,
@@ -223,7 +222,8 @@ def entry_error(got, want):
 def synth_batch_inputs():
     corpus, pairs = small_training_setup(seed=0, n=300)
     examples = [(q, p.doc_id) for q, entries in sorted(pairs.pairs.items()) for p in entries]
-    rows, x, z = _stack_inputs(corpus, examples)
+    rows = {r.report_id: i for i, r in enumerate(corpus.records)}
+    x, z = corpus.inputs[:, : corpus.d_img], corpus.inputs
     params = init_params(0, corpus.d_img, corpus.d_txt, 256, temperature=0.01)
     return params, examples, rows, x, z
 

@@ -76,20 +76,6 @@ def test_build_index_rejects_checkpoint_of_other_feature_dims():
         build_index(make_corpus([make_record("s1")]), init_params(0, 4, 4, 8), "train")
 
 
-@pytest.mark.parametrize("field, shape", [
-    ("image_features", (1,)),
-    ("image_features", (5,)),
-    ("text_features", (4,)),
-    ("text_features", (3, 1)),
-])
-def test_build_index_names_record_of_wrong_feature_shape(field, shape):
-    # An in-memory corpus skips load_corpus, so build_index checks each record.
-    records = [make_record(f"s{i}") for i in range(4)]
-    setattr(records[2], field, np.ones(shape))
-    with pytest.raises(DimensionMismatch, match="s2"):
-        build_index(make_corpus(records), init_params(0, 4, 3, 8), "train")
-
-
 def test_search_self_match():
     index = random_index(50, 8)
     hits = search(index, index.matrix[7], 1, NO_FILTER, ("q", "pq"))
