@@ -17,10 +17,10 @@ from .errors import (
 )
 from .evaluator import (
     RetrievalRun,
+    _oracle_run,
     eval_retrieval,
     judge_relevance,
     mrr,
-    oracle_retrieve,
     read_run,
     write_run,
 )
@@ -238,9 +238,7 @@ def cmd_eval(config):
 
 def cmd_oracle(config):
     corpus = load_corpus(config["corpus"])
-    results = {}
-    for rec in corpus.split(config["query_split"]):
-        results[rec.report_id] = [oracle_retrieve(corpus, rec.report_id)]
+    results = _oracle_run(corpus, config["query_split"])
     run = RetrievalRun(results, provenance={"oracle": True, "query_split": config["query_split"]})
     write_run(run, config["run"])
     write_provenance(config["run"], "oracle", config, [config["corpus"]])

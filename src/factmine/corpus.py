@@ -6,7 +6,8 @@ are inputs here; the models that produce them live upstream.
 
 import json
 import re
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import InitVar, dataclass, field
 from itertools import chain, product
 
 import numpy as np
@@ -111,27 +112,22 @@ class Corpus:
     records: list
     d_img: int
     d_txt: int
+    # (inputs, has_text) already parsed by load_corpus, whose records carry
+    # no features yet; None copies the records' own features.
+    _parsed: InitVar[tuple] = None
     by_id: dict = field(init=False, repr=False)
     inputs: np.ndarray = field(init=False, repr=False, compare=False)
     has_text: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, _parsed):
         records, d_img, d_txt = self.records, self.d_img, self.d_txt
         self.by_id = {r.report_id: r for r in records}
-        self.inputs = np.zeros((len(records), d_img + d_txt))
-        for r, row in zip(records, self.inputs):
-            img, txt = np.shape(r.image_features), np.shape(r.text_features)
-            if img != (d_img,) or (r.text_features is not None and txt != (d_txt,)):
-                raise DimensionMismatch(
-                    f"{r.report_id}: features have shapes {img}/{txt}, "
-                    f"expected ({d_img},)/({d_txt},)"
-                )
-            row[:d_img] = r.image_features
+        if _parsed is None:
+            _parsed = _stack_features(records, d_img, d_txt)
+        self.inputs, self.has_text = _parsed
+        for r, row, text in zip(records, self.inputs, self.has_text.tolist()):
             r.image_features = row[:d_img]
-            if r.text_features is not None:
-                row[d_img:] = r.text_features
-                r.text_features = row[d_img:]
-        self.has_text = np.array([r.text_features is not None for r in records], dtype=bool)
+            r.text_features = row[d_img:] if text else None
         self._rows = {name: np.flatnonzero([r.split == name for r in records]) for name in SPLITS}
 
     def __len__(self):
@@ -151,6 +147,23 @@ class Corpus:
 
     def split(self, name):
         return [self.records[i] for i in self.rows(name).tolist()]
+
+
+def _stack_features(records, d_img, d_txt):
+    """(inputs, has_text) copied from the records' own features, whose shapes
+    are checked here."""
+    inputs = np.zeros((len(records), d_img + d_txt))
+    for r, row in zip(records, inputs):
+        img, txt = np.shape(r.image_features), np.shape(r.text_features)
+        if img != (d_img,) or (r.text_features is not None and txt != (d_txt,)):
+            raise DimensionMismatch(
+                f"{r.report_id}: features have shapes {img}/{txt}, "
+                f"expected ({d_img},)/({d_txt},)"
+            )
+        row[:d_img] = r.image_features
+        if r.text_features is not None:
+            row[d_img:] = r.text_features
+    return inputs, np.array([r.text_features is not None for r in records], dtype=bool)
 
 
 def _id_order(ids):
@@ -191,9 +204,11 @@ class _RecordParser:
 
     Each distinct entity is validated once; every relation is validated
     where it occurs, since its range depends on the record. Records that
-    repeat an entity or relation share its tuple. Feature values are
-    checked for finiteness afterwards by `_require_finite`, in one
-    reduction over all records.
+    repeat an entity or relation share its tuple. Feature lists go straight
+    into one float64 buffer, a record's [image | text] row after the rows
+    of the records before it, and its record carries no features until
+    `Corpus` rebinds them to that row. Their finiteness is checked
+    afterwards by `_require_finite`, in one reduction over the rows.
     """
 
     def __init__(self, d_img, d_txt):
@@ -201,6 +216,9 @@ class _RecordParser:
         self.d_txt = d_txt
         self.entities = _Entities()
         self.relations = {}
+        self.values = array("d")
+        self.has_text = []
+        self.no_text = array("d", [0.0] * d_txt)
 
     def labels(self, value, line_no):
         if type(value) is not list:
@@ -225,14 +243,30 @@ class _RecordParser:
             out.append(seen.setdefault(key, key))
         return FactGraph(entities, tuple(out))
 
+    def features(self, value, name):
+        """Append a feature list to `values`, returning its length; every
+        entry must be a JSON number, not a bool."""
+        if type(value) is not list or not _NUMBER_TYPES.issuperset(map(type, value)):
+            raise ValueError(f"{name} must be a list of numbers")
+        self.values.extend(value)
+        return len(value)
+
+    def inputs(self, n):
+        """The first n rows of `values` as an (n, d_img + d_txt) matrix, not copied."""
+        width = self.d_img + self.d_txt
+        return np.frombuffer(self.values, count=n * width).reshape(n, width)
+
     def record(self, obj, line_no):
         """The record on line `line_no`, with every check but finiteness."""
         try:
             labels = self.labels(obj["labels"], line_no)
             graph = self.graph(obj["entities"], obj["relations"])
-            img = _features(obj["image_features"], "image_features")
+            img = self.features(obj["image_features"], "image_features")
             txt = obj.get("text_features")
-            txt = None if txt is None else _features(txt, "text_features")
+            if txt is None:
+                self.values.extend(self.no_text)
+            else:
+                txt = self.features(txt, "text_features")
             report_id, patient_id, text = obj["report_id"], obj["patient_id"], obj["report_text"]
             if not type(report_id) is type(patient_id) is type(text) is str:
                 raise ValueError("report_id, patient_id and report_text must be strings")
@@ -243,41 +277,33 @@ class _RecordParser:
                 report_text=text,
                 labels=labels,
                 graph=graph,
-                image_features=img,
-                text_features=txt,
+                image_features=None,
+                text_features=None,
             )
             if rec.split not in SPLITS:
                 raise ValueError(f"unknown split {rec.split!r}")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise MalformedRecord(line_no, str(exc)) from exc
-        if img.shape != (self.d_img,):
+        if img != self.d_img:
             raise DimensionMismatch(
-                f"line {line_no}: image_features has dim {img.shape}, corpus dim is {self.d_img}"
+                f"line {line_no}: image_features has dim {(img,)}, corpus dim is {self.d_img}"
             )
-        if txt is not None and txt.shape != (self.d_txt,):
+        if txt is not None and txt != self.d_txt:
             raise DimensionMismatch(
-                f"line {line_no}: text_features has dim {txt.shape}, corpus dim is {self.d_txt}"
+                f"line {line_no}: text_features has dim {(txt,)}, corpus dim is {self.d_txt}"
             )
+        self.has_text.append(txt is not None)
         return rec
 
 
-def _features(value, name):
-    """A feature list as float64; every entry must be a JSON number, not a bool."""
-    if type(value) is not list or not _NUMBER_TYPES.issuperset(map(type, value)):
-        raise ValueError(f"{name} must be a list of numbers")
-    return np.asarray(value, dtype=np.float64)
-
-
-def _require_finite(records, line_nos):
-    """Raise MalformedRecord naming the first record with a NaN or infinite feature."""
-    values = [a for r in records for a in (r.image_features, r.text_features) if a is not None]
-    if not values or np.isfinite(np.concatenate(values)).all():
-        return
-    for rec, line_no in zip(records, line_nos):
-        for name in ("image_features", "text_features"):
-            value = getattr(rec, name)
-            if value is not None and not np.isfinite(value).all():
-                raise MalformedRecord(line_no, f"{name} has non-finite values")
+def _require_finite(inputs, d_img, line_nos):
+    """Raise MalformedRecord naming the line of the first row of inputs with a
+    NaN or infinite feature; row i was parsed from line `line_nos[i]`."""
+    bad = np.flatnonzero(~np.isfinite(inputs).all(axis=1))
+    if bad.size:
+        row = inputs[bad[0]]
+        name = "text_features" if np.isfinite(row[:d_img]).all() else "image_features"
+        raise MalformedRecord(line_nos[bad[0]], f"{name} has non-finite values")
 
 
 def _decode(raw, line_no):
@@ -328,8 +354,10 @@ def load_corpus(path):
         finally:
             # Also when a later line failed: a non-finite feature on an
             # earlier line comes first.
-            _require_finite(records, line_nos)
-    return Corpus(records, d_img=d_img, d_txt=d_txt)
+            inputs = parser.inputs(len(records))
+            _require_finite(inputs, d_img, line_nos)
+    has_text = np.array(parser.has_text, dtype=bool)
+    return Corpus(records, d_img=d_img, d_txt=d_txt, _parsed=(inputs, has_text))
 
 
 def write_corpus(corpus, path):

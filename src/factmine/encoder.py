@@ -26,6 +26,9 @@ from .errors import (
 )
 
 _NORM_FLOOR = 1e-12
+# Rows per block of `_normalize_rows`: at e = 256 a block's squared
+# temporary is 2 MB, however many rows are normalised.
+_NORM_BLOCK_ROWS = 1024
 
 
 @dataclass
@@ -109,7 +112,15 @@ def _normalize(u):
 def _normalize_rows(u):
     # Row-wise `_normalize` for training and document encoding; divides the
     # fresh projection u in place. encode_query keeps the per-vector one.
-    norms = np.linalg.norm(u, axis=-1, keepdims=True)
+    # The norms are taken a block of rows at a time, so no temporary spans
+    # all of u; each row is still reduced alone, so they are bit-equal to
+    # one np.linalg.norm over u.
+    rows = u.reshape(-1, u.shape[-1])
+    norms = np.empty((len(rows), 1))
+    for start in range(0, len(rows), _NORM_BLOCK_ROWS):
+        block = slice(start, start + _NORM_BLOCK_ROWS)
+        norms[block] = np.linalg.norm(rows[block], axis=-1, keepdims=True)
+    norms = norms.reshape(u.shape[:-1] + (1,))
     if (norms < _NORM_FLOOR).any():
         raise DegenerateEmbedding(f"projection norm {norms.min()} below {_NORM_FLOOR}")
     u /= norms

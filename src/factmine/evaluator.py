@@ -101,10 +101,22 @@ def oracle_retrieve(corpus, query_id):
     equal to chexbert_instance + factual_similarity of the pick.
     """
     query = corpus[query_id]
+    return _oracle_pick(_fact_index(corpus.split("train")), query)
+
+
+def _oracle_run(corpus, query_split):
+    """{query_id: [oracle_retrieve(corpus, query_id)]} over the query split,
+    with the train split indexed once for all of them."""
+    queries = corpus.split(query_split)
     index = _fact_index(corpus.split("train"))
+    return {query.report_id: [_oracle_pick(index, query)] for query in queries}
+
+
+def _oracle_pick(index, query):
+    """oracle_retrieve of query, given the _FactIndex of the train split."""
     agree, rad, others = index.scores(query)
     if not others.any():
-        raise EmptyCandidateSet(f"no oracle candidates for query {query_id!r}")
+        raise EmptyCandidateSet(f"no oracle candidates for query {query.report_id!r}")
     total = np.where(others, agree + rad, -np.inf)
     best = np.flatnonzero(total == total.max())
     row = best[np.argmin(index.rank[best])]

@@ -1,3 +1,4 @@
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -36,6 +37,25 @@ def make_record(
 
 def make_corpus(records, d_img=4, d_txt=3):
     return Corpus(list(records), d_img=d_img, d_txt=d_txt)
+
+
+def traced_peak(fn, *args):
+    """fn(*args), and the peak bytes tracemalloc saw allocated while it ran.
+
+    numpy reports its data buffers to tracemalloc, so arrays count.
+    """
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    try:
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    return result, peak
 
 
 @pytest.fixture

@@ -3,7 +3,8 @@ import json
 import pytest
 
 from factmine.cli import main, read_config_file
-from factmine.corpus import Corpus, synth_corpus, write_corpus
+from factmine.corpus import Corpus, load_corpus, synth_corpus, write_corpus
+from factmine.evaluator import oracle_retrieve, read_run
 
 
 @pytest.fixture
@@ -98,6 +99,17 @@ def test_oracle_and_build_rag(workdir):
     examples = [json.loads(l) for l in (workdir / "rag.jsonl").read_text().splitlines()]
     assert len(examples) == 60
     assert all(ex["mode"] == "rag" for ex in examples)
+
+
+@pytest.mark.parametrize("query_split", ["test", "train"])
+def test_oracle_command_equals_per_query_oracle_retrieve(workdir, query_split):
+    argv = ["oracle", "--corpus", "corpus.jsonl", "--run", "oracle.tsv"]
+    assert main(argv + ["--query-split", query_split]) == 0
+    corpus = load_corpus(workdir / "corpus.jsonl")
+    assert read_run(workdir / "oracle.tsv").results == {
+        rec.report_id: [oracle_retrieve(corpus, rec.report_id)]
+        for rec in corpus.split(query_split)
+    }
 
 
 def test_score_subcommand(workdir, capsys):

@@ -251,6 +251,17 @@ def test_non_finite_feature_is_named_before_a_later_fault(tmp_path):
     with pytest.raises(MalformedRecord, match="text_features") as exc:
         load_corpus(path)
     assert exc.value.line_no == 2
+    # Only the image features of the second record, after a blank line.
+    path = write_file(tmp_path, [
+        record_obj("s0", text_features=None),
+        {},
+        record_obj("s1", image_features=[1.0, float("inf")]),
+        record_obj("s2", split="dev"),
+    ])
+    path.write_text(path.read_text().replace("{}", ""))
+    with pytest.raises(MalformedRecord, match="image_features") as exc:
+        load_corpus(path)
+    assert exc.value.line_no == 4
 
 
 @pytest.mark.parametrize("line_no", [1, 3])
@@ -489,9 +500,13 @@ def test_load_corpus_matches_naive_reference(tmp_path_factory, data):
         corpus.inputs, np.reshape(rows, (len(want), corpus.d_img + corpus.d_txt))
     )
     assert corpus.has_text.tolist() == [w["text_features"] is not None for w in want]
+    # The features are views of inputs' own buffer: no record owns an array.
+    owner = corpus.inputs if corpus.inputs.base is None else corpus.inputs.base
     for rec, row in zip(corpus.records, corpus.inputs):
-        assert np.shares_memory(rec.image_features, row)
-        assert rec.text_features is None or np.shares_memory(rec.text_features, row)
+        assert np.shares_memory(rec.image_features, row) and rec.image_features.base is owner
+        assert rec.text_features is None or (
+            np.shares_memory(rec.text_features, row) and rec.text_features.base is owner
+        )
     for g, w in zip(got, want):
         for key in ("image_features", "text_features"):
             np.testing.assert_array_equal(g.pop(key), w.pop(key))

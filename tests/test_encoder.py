@@ -9,8 +9,10 @@ from factmine.corpus import Corpus, synth_corpus
 from factmine.encoder import (
     EncoderParams,
     TrainConfig,
+    _NORM_BLOCK_ROWS,
     _batch_loss,
     _hard_negatives,
+    _normalize_rows,
     _validation_mrr,
     contrastive_loss,
     encode_doc,
@@ -61,6 +63,29 @@ def test_encode_query_wrong_dimension():
 def test_encode_query_degenerate():
     with pytest.raises(DegenerateEmbedding):
         encode_query(axis_params(d_img=4), np.array([0.0, 0.0, 1.0, 1.0]))
+
+
+BLOCK = _NORM_BLOCK_ROWS
+
+
+@pytest.mark.parametrize("shape", [
+    (1, 256), (BLOCK - 1, 256), (BLOCK, 256), (BLOCK + 1, 256), (3 * BLOCK + 7, 256),
+    (3 * BLOCK + 7, 5), (7, BLOCK // 2 + 3, 33),
+])
+def test_block_row_norms_are_one_norm_call(shape):
+    rng = np.random.default_rng(shape[0])
+    u = rng.normal(size=shape) * rng.uniform(1e-3, 1e3, size=shape[:-1] + (1,))
+    want = np.linalg.norm(u, axis=-1, keepdims=True)
+    got, norms = _normalize_rows(u.copy())
+    assert norms.shape == want.shape and norms.tobytes() == want.tobytes()
+    assert got.tobytes() == (u / want).tobytes()
+
+
+def test_block_row_norms_keep_the_floor_in_the_last_block():
+    u = np.random.default_rng(0).normal(size=(2 * BLOCK + 5, 8))
+    u[-2] = 1e-14
+    with pytest.raises(DegenerateEmbedding):
+        _normalize_rows(u)
 
 
 def test_encode_doc_unit_norm():

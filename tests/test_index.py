@@ -26,7 +26,7 @@ from factmine.index import (
     search_batch,
 )
 
-from conftest import make_corpus, make_record
+from conftest import make_corpus, make_record, traced_peak
 
 NO_FILTER = ExclusionPolicy(exclude_self=False, exclude_same_patient=False, min_report_chars=0)
 
@@ -59,6 +59,16 @@ def test_build_index_rows_are_encode_doc():
     for rec, row in zip(corpus.split("train"), index.matrix):
         want = encode_doc(params, rec.image_features, rec.text_features)
         np.testing.assert_allclose(row, want, rtol=0, atol=1e-15)
+
+
+def test_build_index_memory_is_about_one_matrix():
+    corpus = synth_corpus(5, 4286)  # 3,000 train records
+    params = init_params(0, corpus.d_img, corpus.d_txt, 256)
+    index, peak = traced_peak(build_index, corpus, params, "train")
+    matrix = index.matrix.nbytes
+    gathered = corpus.inputs[corpus.rows("train")].nbytes
+    assert matrix == 3000 * 256 * 8
+    assert peak < matrix + gathered + matrix // 2
 
 
 def test_build_index_missing_text_features():
