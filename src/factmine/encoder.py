@@ -2,7 +2,8 @@
 
 Training takes one batched softmax per mini-batch: a B x B logit matrix of
 every query against every in-batch document, plus a B x h block of per-query
-hard negatives in the second stage. `contrastive_loss` is its per-query
+hard negatives. Both stages run this one path: stage 1 has h = 0, and the
+hard-negative stage h = hard_negative_k. `contrastive_loss` is its per-query
 reference. Gradients are derived by hand through the projection and L2
 normalization; no autodiff framework is involved. 64-bit accumulation
 throughout: with the default temperature of 0.01 logits reach +/-100.
@@ -24,6 +25,7 @@ from .errors import (
     NonFiniteLoss,
     NoPositives,
 )
+from .evaluator import judge_relevance
 
 _NORM_FLOOR = 1e-12
 # Rows per block of `_normalize_rows`: at e = 256 a block's squared
@@ -102,10 +104,17 @@ def init_params(
     )
 
 
+def _check_norms(norms):
+    # An overflowing projection has an inf or NaN norm and would divide to a
+    # zero or NaN embedding, so it is as degenerate as one below the floor.
+    bad = np.asarray(norms)[~((norms >= _NORM_FLOOR) & (norms < np.inf))]
+    if bad.size:
+        raise DegenerateEmbedding(f"projection norm {bad[0]} outside [{_NORM_FLOOR}, inf)")
+
+
 def _normalize(u):
     norm = np.linalg.norm(u)
-    if norm < _NORM_FLOOR:
-        raise DegenerateEmbedding(f"projection norm {norm} below {_NORM_FLOOR}")
+    _check_norms(norm)
     return u / norm, norm
 
 
@@ -121,8 +130,7 @@ def _normalize_rows(u):
         block = slice(start, start + _NORM_BLOCK_ROWS)
         norms[block] = np.linalg.norm(rows[block], axis=-1, keepdims=True)
     norms = norms.reshape(u.shape[:-1] + (1,))
-    if (norms < _NORM_FLOOR).any():
-        raise DegenerateEmbedding(f"projection norm {norms.min()} below {_NORM_FLOOR}")
+    _check_norms(norms)
     u /= norms
     return u, norms
 
@@ -228,21 +236,20 @@ def _batch_loss(params, x, z, hard, hard_mask):
 
     Row i of x (B, d_img) is query i's image input and row i of z
     (B, d_img + d_txt) its positive document; every other row of z is one
-    of its negatives, duplicates included. hard (B, h, d_img + d_txt), or
-    None, holds extra negatives per query, of which the slots where
-    hard_mask (B, h) is False do not count. Equals the sum of `contrastive_loss` over the rows,
-    where a row with no negative at all contributes nothing.
+    of its negatives, duplicates included. hard (B, h, d_img + d_txt) holds
+    h >= 0 extra negatives per query, of which the slots where hard_mask
+    (B, h) is False do not count; stage 1 passes h = 0. Equals the sum of
+    `contrastive_loss` over the rows, where a row with no negative at all
+    contributes nothing.
     Returns (loss, grad_w_q, grad_w_d).
     """
     tau = params.temperature
     n = len(x)
     q, q_norm = _normalize_rows(x @ params.w_q)
     d, d_norm = _normalize_rows(z @ params.w_d)
-    logits = q @ d.T / tau
-    if hard is not None:
-        e_h, h_norm = _normalize_rows(hard @ params.w_d)
-        extra = np.einsum("be,bhe->bh", q, e_h) / tau
-        logits = np.hstack([logits, np.where(hard_mask, extra, -np.inf)])
+    e_h, h_norm = _normalize_rows(hard @ params.w_d)
+    extra = np.einsum("be,bhe->bh", q, e_h) / tau
+    logits = np.hstack([q @ d.T / tau, np.where(hard_mask, extra, -np.inf)])
     top = logits.max(axis=1, keepdims=True)
     exps = np.exp(logits - top)
     total = exps.sum(axis=1, keepdims=True)
@@ -257,45 +264,29 @@ def _batch_loss(params, x, z, hard, hard_mask):
     dlogits /= tau
 
     # Backprop through cosine and the two normalized projections.
-    dq = dlogits[:, :n] @ d
+    dq = dlogits[:, :n] @ d + np.einsum("bh,bhe->be", dlogits[:, n:], e_h)
     dd = dlogits[:, :n].T @ q
     dv = (dd - np.sum(d * dd, axis=1, keepdims=True) * d) / d_norm
-    grad_w_d = z.T @ dv
-    if hard is not None:
-        dq += np.einsum("bh,bhe->be", dlogits[:, n:], e_h)
-        de_h = dlogits[:, n:, None] * q[:, None, :]
-        dv_h = (de_h - np.sum(e_h * de_h, axis=2, keepdims=True) * e_h) / h_norm
-        grad_w_d += hard.reshape(-1, hard.shape[2]).T @ dv_h.reshape(-1, dv_h.shape[2])
+    de_h = dlogits[:, n:, None] * q[:, None, :]
+    dv_h = (de_h - np.sum(e_h * de_h, axis=2, keepdims=True) * e_h) / h_norm
+    grad_w_d = z.T @ dv + hard.reshape(-1, hard.shape[2]).T @ dv_h.reshape(-1, dv_h.shape[2])
     du = (dq - np.sum(q * dq, axis=1, keepdims=True) * q) / q_norm
     return loss, x.T @ du, grad_w_d
 
 
-def _batches(inputs, examples, order, batch_size, hard_negs, k):
+def _batches(corpus, rows, order, batch_size):
     """Per mini-batch `_batch_loss` inputs (x, z, hard, hard_mask), in `order`.
 
-    inputs is (rows, x, z): report id -> row of x (image) and z ([image | text]).
-    Each query's hard negatives fill the first of k slots; the rest are
-    masked out and hold its positive, so every slot normalizes.
+    rows is a stage's (query_rows, doc_rows, hard_rows, hard_mask): per
+    example, rows of `corpus.inputs` and its (h,) hard-negative slots.
     """
-    rows, x, z = inputs
-    query_rows = np.array([rows[query_id] for query_id, _ in examples], dtype=np.int64)[order]
-    doc_rows = np.array([rows[doc_id] for _, doc_id in examples], dtype=np.int64)[order]
-    if hard_negs is not None:
-        mask = np.zeros((len(order), k), dtype=bool)
-        hard_rows = np.repeat(doc_rows[:, None], k, axis=1)
-        for slot, i in enumerate(order):
-            picked = [rows[doc_id] for doc_id in hard_negs.get(examples[i][0], ())]
-            mask[slot, : len(picked)] = True
-            hard_rows[slot, : len(picked)] = picked
-    batches = []
-    for lo in range(0, len(order), batch_size):
-        part = slice(lo, lo + batch_size)
-        batch = (x[query_rows[part]], z[doc_rows[part]])
-        if hard_negs is None:
-            batches.append((*batch, None, None))
-        else:
-            batches.append((*batch, z[hard_rows[part]], mask[part]))
-    return batches
+    query_rows, doc_rows, hard_rows, mask = (a[order] for a in rows)
+    z = corpus.inputs
+    x = z[:, : corpus.d_img]
+    return [
+        (x[query_rows[part]], z[doc_rows[part]], z[hard_rows[part]], mask[part])
+        for part in (slice(lo, lo + batch_size) for lo in range(0, len(order), batch_size))
+    ]
 
 
 def _validation_mrr(params, corpus, judgments):
@@ -345,18 +336,14 @@ def _hard_negatives(params, corpus, pairs, k):
     return out
 
 
-def _run_epochs(
-    params, corpus, inputs, examples, config, rng, log, stage, hard_negs, val_judgments
-):
+def _run_epochs(params, corpus, rows, config, rng, log, stage, val_judgments):
     best = params.copy()
     best_mrr = -np.inf
     stale = 0
     # One permutation per stage: keeps the batch partition (and so the loss
     # at zero learning rate) identical across epochs.
-    order = rng.permutation(len(examples))
-    batches = _batches(
-        inputs, examples, order, config.batch_size, hard_negs, config.hard_negative_k
-    )
+    order = rng.permutation(len(rows[0]))
+    batches = _batches(corpus, rows, order, config.batch_size)
     for epoch in range(config.max_epochs):
         start = time.monotonic()
         epoch_loss = 0.0
@@ -397,14 +384,13 @@ def _run_epochs(
 def train(corpus, pairs, config):
     """Mini-batch gradient descent with decoupled weight decay on mined pairs.
 
-    Each batch takes one softmax over its in-batch documents (`_batch_loss`).
-    Stage 1 uses in-batch negatives only; if hard_negative_k > 0, a second
-    stage re-mines the top-k retrieved non-positive documents per query and
-    continues training with them as extra negatives. Early stopping watches
-    validation MRR. Deterministic under a fixed seed.
+    Each batch takes one softmax over its in-batch documents and a block of
+    h hard negatives per query (`_batch_loss`). Stage 1 has h = 0; if
+    hard_negative_k > 0, a second stage re-mines the top-k retrieved
+    non-positive documents per query and continues training with them in
+    a block of h = k. Early stopping watches validation MRR. Deterministic
+    under a fixed seed.
     """
-    from .evaluator import judge_relevance
-
     rows = {corpus.records[i].report_id: i for i in corpus.rows("train")}
     examples = []
     for query_id, entries in sorted(pairs.pairs.items()):
@@ -413,14 +399,14 @@ def train(corpus, pairs, config):
         for p in entries:
             if p.doc_id not in rows:
                 raise NoPositives(f"pair doc {p.doc_id!r} is not in the train split")
-            examples.append((query_id, p.doc_id))
+            examples.append((rows[query_id], rows[p.doc_id]))
     if not examples:
         raise NoPositives("pair set is empty")
+    query_rows, doc_rows = np.array(examples, dtype=np.int64).T
     # A report without text is never a document: build_index refuses it.
-    for _, doc_id in examples:
-        if not corpus.has_text[rows[doc_id]]:
-            raise MissingTextFeatures(doc_id)
-    inputs = (rows, corpus.inputs[:, : corpus.d_img], corpus.inputs)
+    textless = ~corpus.has_text[doc_rows]
+    if textless.any():
+        raise MissingTextFeatures(corpus.records[doc_rows[textless.argmax()]].report_id)
 
     rng = np.random.default_rng(config.seed)
     params = init_params(
@@ -434,14 +420,21 @@ def train(corpus, pairs, config):
         config.val_radgraph_threshold,
         query_split="validation",
     )
-    params = _run_epochs(
-        params, corpus, inputs, examples, config, rng, log, "in_batch", None, val_judgments
-    )
-    if config.hard_negative_k > 0:
-        hard = _hard_negatives(params, corpus, pairs, config.hard_negative_k)
+    no_hard = np.empty((len(examples), 0), dtype=np.int64)
+    stage_rows = (query_rows, doc_rows, no_hard, no_hard.astype(bool))
+    params = _run_epochs(params, corpus, stage_rows, config, rng, log, "in_batch", val_judgments)
+    k = config.hard_negative_k
+    if k > 0:
+        hard = _hard_negatives(params, corpus, pairs, k)
+        picked = [hard[corpus.records[i].report_id] for i in query_rows]
+        # Each query's picks fill its first slots; the rest are masked out
+        # and hold its positive, so every slot normalizes.
+        mask = np.arange(k) < np.array([len(p) for p in picked])[:, None]
+        hard_rows = np.repeat(doc_rows[:, None], k, axis=1)
+        hard_rows[mask] = [rows[doc_id] for p in picked for doc_id in p]
+        stage_rows = (query_rows, doc_rows, hard_rows, mask)
         params = _run_epochs(
-            params, corpus, inputs, examples, config, rng, log, "hard_negative", hard,
-            val_judgments,
+            params, corpus, stage_rows, config, rng, log, "hard_negative", val_judgments
         )
     return params, log
 

@@ -6,8 +6,9 @@ from dataclasses import dataclass
 from . import artifacts
 from .encoder import encode_query
 from .errors import EmptyCandidateSet, InvalidConfig, MalformedArtifact
-from .evaluator import oracle_retrieve
+from .evaluator import _oracle_pick
 from .index import build_index, search
+from .mining import _fact_index
 
 VQA_TEMPLATE = "Generate a radiology report from this image: <image>"
 RAG_TEMPLATE = (
@@ -45,6 +46,7 @@ def build_rag_dataset(corpus, params, policy, mode):
     if mode not in MODES:
         raise InvalidConfig(f"unknown mode {mode!r}")
     index = build_index(corpus, params, "train") if mode == "rag" else None
+    facts = _fact_index(corpus.split("train")) if mode == "oracle-rag" else None
     examples = []
     warnings = 0
     for rec in corpus.records:
@@ -58,7 +60,7 @@ def build_rag_dataset(corpus, params, policy, mode):
                 warnings += 1
         elif mode == "oracle-rag":
             try:
-                retrieved_id, _ = oracle_retrieve(corpus, rec.report_id)
+                retrieved_id, _ = _oracle_pick(facts, rec)
             except EmptyCandidateSet:
                 warnings += 1
         retrieved_text = None if retrieved_id is None else corpus[retrieved_id].report_text

@@ -15,6 +15,7 @@ from factmine.cli import main as cli_main
 from factmine.corpus import synth_corpus, write_corpus
 from factmine.encoder import (
     TrainConfig,
+    _batch_loss,
     contrastive_loss,
     encode_query,
     init_params,
@@ -102,7 +103,7 @@ def test_criterion_1_metric_unit_suite():
 
 
 def test_criterion_2_gradient_check():
-    from test_encoder import finite_difference_grads, max_relative_error
+    from test_encoder import central_differences, finite_difference_grads, max_relative_error
 
     start = time.monotonic()
     rng = np.random.default_rng(2024)
@@ -119,10 +120,32 @@ def test_criterion_2_gradient_check():
         _, gq, gd = contrastive_loss(params, x, docs[:n_pos], docs[n_pos:])
         fq, fd = finite_difference_grads(params, x, docs[:n_pos], docs[n_pos:], h=1e-5)
         worst = max(worst, max_relative_error(gq, fq), max_relative_error(gd, fd))
+
+    # The training kernel: batches with a repeated document, stage-1 batches
+    # (h = 0) and ragged masked hard-negative blocks, in turn.
+    rng = np.random.default_rng(2025)
+    for trial in range(100):
+        d_img, d_txt, e = (int(v) for v in rng.integers(2, [6, 6, 9]))
+        params = init_params(trial, d_img, d_txt, e, temperature=float(rng.uniform(0.2, 1.5)))
+        b = int(rng.integers(2, 6))
+        width = int(rng.integers(1, 4)) if trial % 3 == 2 else 0
+        pool = rng.normal(size=(b + width, d_img + d_txt))
+        x = rng.normal(size=(b, d_img))
+        z = pool[:b].copy()
+        if trial % 3 == 0:
+            z[-1] = z[0]  # a positive that is also another row's negative
+        hard = pool[rng.integers(0, len(pool), size=(b, width))]
+        counts = rng.integers(0, width + 1, size=b)
+        counts[0], counts[-1] = width, 0
+        mask = np.arange(width) < counts[:, None]
+        _, gq, gd = _batch_loss(params, x, z, hard, mask)
+        fq, fd = central_differences(params, lambda p: _batch_loss(p, x, z, hard, mask)[0])
+        worst = max(worst, max_relative_error(gq, fq), max_relative_error(gd, fd))
     elapsed = time.monotonic() - start
     assert worst < 1e-4
     assert elapsed < 30
-    report(2, f"100 instances, max relative error {worst:.2e} in {elapsed:.1f}s")
+    report(2, f"100 reference instances and 100 training batches, max relative error "
+              f"{worst:.2e} in {elapsed:.1f}s")
 
 
 # --- criterion 3: monotonicity suite ---------------------------------------

@@ -4,6 +4,7 @@ import pytest
 
 from factmine.cli import main, read_config_file
 from factmine.corpus import Corpus, load_corpus, synth_corpus, write_corpus
+from factmine.encoder import EncoderParams, load_params, save_params
 from factmine.evaluator import oracle_retrieve, read_run
 
 
@@ -322,14 +323,19 @@ def test_sidecar_config_records_defaults(workdir):
     (["oracle", "--run", "bad.tsv", "--query-split", "Test"], "InvalidConfig"),
     (["eval", "--run", "run.tsv", "--output", "bad.json", "--query-split", "tets"],
      "InvalidConfig"),
+    pytest.param(["train", "--pairs", "pairs.tsv", "--checkpoint", "bad.ckpt", "--seed", "7",
+                  "--temperature", "1e-320", "--max-epochs", "1", "--embedding-dim", "16"],
+                 "NonFiniteLoss", marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
 ], ids=["threshold-out-of-range", "top-k-not-int", "k-zero", "batch-size-zero", "unknown-id",
         "unknown-mode", "top-k-not-integral", "include-self-not-bool", "index-split-misspelt",
-        "retrieve-split-misspelt", "oracle-split-misspelt", "eval-split-misspelt"])
+        "retrieve-split-misspelt", "oracle-split-misspelt", "eval-split-misspelt",
+        "temperature-underflow"])
 def test_bad_option_or_id_is_mapped_error(workdir, capsys, argv, error):
     run_pipeline()
     capsys.readouterr()
     code = main([argv[0], "--corpus", "corpus.jsonl", *argv[1:]])
     assert_mapped_error(code, capsys, error)
+    assert not list(workdir.glob("bad.*"))
 
 
 def test_retrieve_index_of_other_checkpoint_is_mapped_error(workdir, capsys):
@@ -343,6 +349,19 @@ def test_retrieve_index_of_other_checkpoint_is_mapped_error(workdir, capsys):
     record = assert_mapped_error(retrieve("other.idx"), capsys, "CheckpointMismatch")
     assert "other.idx" in record["message"]
     assert retrieve("docs.idx") == 0
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_overflowing_checkpoint_is_mapped_error_and_writes_no_index(workdir, capsys):
+    run_pipeline()
+    params = load_params(workdir / "enc.ckpt")
+    save_params(EncoderParams(params.w_q * 1e300, params.w_d * 1e300, params.temperature),
+                workdir / "huge.ckpt")
+    capsys.readouterr()
+    code = main(["index", "--corpus", "corpus.jsonl", "--checkpoint", "huge.ckpt",
+                 "--index", "huge.idx"])
+    assert_mapped_error(code, capsys, "DegenerateEmbedding")
+    assert not list(workdir.glob("huge.idx*"))
 
 
 def test_non_utf8_corpus_is_mapped_error(workdir, capsys):

@@ -88,6 +88,23 @@ def test_block_row_norms_keep_the_floor_in_the_last_block():
         _normalize_rows(u)
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("row", [np.inf, np.nan, 1e300], ids=["inf", "nan", "overflow"])
+def test_non_finite_row_norm_is_degenerate(row):
+    u = np.random.default_rng(1).normal(size=(2 * BLOCK + 5, 8))
+    u[BLOCK + 3] = row
+    with pytest.raises(DegenerateEmbedding, match="outside"):
+        _normalize_rows(u)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_encode_query_overflowing_projection_is_degenerate():
+    p = init_params(0, 6, 4, 8)
+    params = EncoderParams(p.w_q * 1e300, p.w_d * 1e300, p.temperature)
+    with pytest.raises(DegenerateEmbedding, match="inf"):
+        encode_query(params, np.random.default_rng(2).normal(size=6))
+
+
 def test_encode_doc_unit_norm():
     corpus = synth_corpus(3, 10)
     params = init_params(0, corpus.d_img, corpus.d_txt, 16)
@@ -223,14 +240,14 @@ def test_loss_decreases_under_small_step():
 # --- batched training loss -------------------------------------------------
 
 
-def summed_reference_loss(params, x, z, hard=None, hard_mask=None):
+def summed_reference_loss(params, x, z, hard, hard_mask):
     """Sum of contrastive_loss over a batch's rows, skipping rows without negatives."""
     split = lambda row: (row[: params.d_img], row[params.d_img :])
     docs = [split(row) for row in z]
     loss, g_q, g_d = 0.0, np.zeros_like(params.w_q), np.zeros_like(params.w_d)
     for i in range(len(x)):
         in_batch = docs[:i] + docs[i + 1 :]
-        extra = [] if hard is None else [split(row) for row in hard[i][hard_mask[i]]]
+        extra = [split(row) for row in hard[i][hard_mask[i]]]
         if not in_batch and not extra:
             continue
         l, gq, gd = contrastive_loss(params, x[i], [docs[i]], in_batch, extra)
@@ -254,12 +271,13 @@ def synth_batch_inputs():
 
 
 def gather(inputs, batch, hard_counts=None, h=3, seed=0):
-    """_batch_loss inputs for examples `batch`, with ragged random hard negatives."""
+    """_batch_loss inputs for examples `batch`, with ragged random hard
+    negatives, or a block of width 0 without hard_counts."""
     params, examples, rows, x, z = inputs
     query_rows = [rows[examples[i][0]] for i in batch]
     doc_rows = [rows[examples[i][1]] for i in batch]
     if hard_counts is None:
-        return x[query_rows], z[doc_rows], None, None
+        h, hard_counts = 0, [0] * len(batch)
     rng = np.random.default_rng(seed)
     hard_rows = rng.choice(len(z), size=(len(batch), h))
     mask = np.arange(h) < np.asarray(hard_counts)[:, None]
@@ -298,6 +316,28 @@ def test_batch_loss_skips_row_without_negatives(synth_batch_inputs, hard_counts)
     assert not g_q.any() and not g_d.any()
 
 
+@pytest.mark.parametrize("k", [1, 3, 8])
+@pytest.mark.parametrize("b", [1, 8, 32, 7, 13])
+def test_fully_masked_hard_block_equals_width_zero(synth_batch_inputs, b, k):
+    """Stage 1 (h = 0) and a stage-2 batch whose k slots are all masked out
+    take one path. numpy sums each logit row pairwise in 8 strided partial
+    sums, so the masked zeros leave the row's sum bit-equal when b is a
+    multiple of 8 (the default batch size is 32) or at most 3; otherwise they
+    regroup its terms and the two agree to rounding."""
+    params = synth_batch_inputs[0]
+    x, z, no_hard, no_mask = gather(synth_batch_inputs, list(range(b)))
+    assert no_hard.shape == (b, 0, z.shape[1]) and no_mask.shape == (b, 0)
+    hard = np.repeat(z[:, None, :], k, axis=1)
+    got = _batch_loss(params, x, z, hard, np.zeros((b, k), dtype=bool))
+    want = _batch_loss(params, x, z, no_hard, no_mask)
+    if b % 8 == 0 or b <= 3:
+        assert [np.asarray(g).tobytes() for g in got] == [np.asarray(w).tobytes() for w in want]
+    else:
+        assert abs(got[0] - want[0]) <= 1e-14 * want[0]
+        assert entry_error(got[1], want[1]) <= 1e-12
+        assert entry_error(got[2], want[2]) <= 1e-12
+
+
 def test_batch_loss_matches_reference_on_adversarial_batches():
     """Tiny temperatures, feature scales over ten orders of magnitude, documents
     repeated within and across the in-batch and hard blocks."""
@@ -312,10 +352,8 @@ def test_batch_loss_matches_reference_on_adversarial_batches():
         pool = rng.normal(size=(n_distinct, d_img + d_txt)) * scale(n_distinct)
         x = rng.normal(size=(b, d_img)) * scale(b)
         z = pool[rng.integers(0, n_distinct, size=b)]
-        hard = mask = None
-        if h:
-            hard = pool[rng.integers(0, n_distinct, size=(b, h))]
-            mask = np.arange(h) < rng.integers(0, h + 1, size=(b, 1))
+        hard = pool[rng.integers(0, n_distinct, size=(b, h))]
+        mask = np.arange(h) < rng.integers(0, h + 1, size=(b, 1))
         got = _batch_loss(params, x, z, hard, mask)
         want = summed_reference_loss(params, x, z, hard, mask)
         assert abs(got[0] - want[0]) <= 1e-9 * abs(want[0])
@@ -350,10 +388,8 @@ def test_batch_loss_gradients_match_finite_differences():
         docs = rng.normal(size=(b + h, d_img + d_txt))
         x = rng.normal(size=(b, d_img))
         z = docs[rng.integers(0, len(docs), size=b)]
-        hard = mask = None
-        if h:
-            hard = docs[rng.integers(0, len(docs), size=(b, h))]
-            mask = np.arange(h) < rng.integers(0, h + 1, size=(b, 1))
+        hard = docs[rng.integers(0, len(docs), size=(b, h))]
+        mask = np.arange(h) < rng.integers(0, h + 1, size=(b, 1))
         _, gq, gd = _batch_loss(params, x, z, hard, mask)
         fq, fd = central_differences(params, lambda p: _batch_loss(p, x, z, hard, mask)[0])
         assert max_relative_error(gq, fq) < 1e-4

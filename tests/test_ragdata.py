@@ -4,7 +4,7 @@ import pytest
 
 from factmine.corpus import synth_corpus
 from factmine.encoder import init_params
-from factmine.errors import MalformedArtifact
+from factmine.errors import EmptyCandidateSet, MalformedArtifact
 from factmine.evaluator import oracle_retrieve
 from factmine.index import ExclusionPolicy
 from factmine.ragdata import (
@@ -55,11 +55,26 @@ def test_template_literals():
     )
 
 
+def oracle_or_none(corpus, query_id):
+    try:
+        return oracle_retrieve(corpus, query_id)[0]
+    except EmptyCandidateSet:
+        return None
+
+
 def test_oracle_rag_delegates_to_oracle():
-    corpus = synth_corpus(3, 20)
-    examples, _ = build_rag_dataset(corpus, None, POLICY, "oracle-rag")
-    for ex in examples:
-        assert ex.retrieved_doc_id == oracle_retrieve(corpus, ex.query_report_id)[0]
+    # The lone train report has no oracle candidate but itself.
+    lone = make_corpus([
+        make_record("t", graph=entity_graph("heart")),
+        make_record("q", split="test", graph=entity_graph("heart", "lung")),
+        make_record("v", split="validation", graph=entity_graph("lung")),
+    ])
+    for corpus in (synth_corpus(3, 20), lone):
+        examples, warnings = build_rag_dataset(corpus, None, POLICY, "oracle-rag")
+        want = [oracle_or_none(corpus, rec.report_id) for rec in corpus.records]
+        assert [ex.retrieved_doc_id for ex in examples] == want
+        assert warnings == want.count(None)
+    assert want == [None, "t", "t"]
 
 
 def test_policy_invariants_hold():
