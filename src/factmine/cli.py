@@ -5,6 +5,8 @@ import hashlib
 import sys
 from dataclasses import fields
 
+import numpy as np
+
 from . import __version__, artifacts
 from .corpus import load_corpus
 from .encoder import TrainConfig, encode_query, load_params, save_params, train, write_training_log
@@ -24,7 +26,7 @@ from .evaluator import (
     read_run,
     write_run,
 )
-from .index import ExclusionPolicy, build_index, load_index, save_index, search
+from .index import ExclusionPolicy, build_index, load_index, save_index, search_batch
 from .metrics import chexbert_instance, factual_similarity, rouge_l
 from .mining import MiningConfig, mine_pairs, read_pairs, threshold_sweep, write_pairs
 from .ragdata import build_rag_dataset, write_rag_dataset
@@ -189,12 +191,16 @@ def cmd_retrieve(config):
             f"{config['index']} was built from checkpoint sha256 {index.checkpoint_sha256}, "
             f"but {config['checkpoint']} has sha256 {checkpoint_sha256}"
         )
-    results = {}
-    for rec in corpus.split(config["query_split"]):
-        q = encode_query(params, rec.image_features)
-        results[rec.report_id] = search(index, q, k, policy, (rec.report_id, rec.patient_id))
+    queries = corpus.split(config["query_split"])
+    ranked = search_batch(
+        index,
+        [encode_query(params, rec.image_features) for rec in queries],
+        k,
+        policy,
+        [(rec.report_id, rec.patient_id) for rec in queries],
+    )
     run = RetrievalRun(
-        results,
+        {rec.report_id: hits for rec, hits in zip(queries, ranked)},
         provenance={
             "checkpoint": config["checkpoint"],
             "policy": {f.name: config[f.name] for f in fields(ExclusionPolicy)},
@@ -358,7 +364,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     handler, defaults = _COMMANDS[args.command]
     try:
-        return handler(resolve_config(args, defaults))
+        # Overflow and invalid values surface as NonFiniteLoss or
+        # DegenerateEmbedding; numpy's warnings would only precede that
+        # JSON line on stderr.
+        with np.errstate(all="ignore"):
+            return handler(resolve_config(args, defaults))
     except (FactmineError, OSError) as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}
         print(artifacts.to_json(record), file=sys.stderr)

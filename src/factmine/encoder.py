@@ -295,9 +295,10 @@ def _validation_mrr(params, corpus, judgments):
     Equals `evaluator.mrr` over full `search` rankings, float for float:
     each query's first relevant rank is counted by `_rank_of_first`
     instead of ranking every document, and the reciprocals are summed in
-    the same order.
+    the same order. The queries are scored together, a group that fits
+    the index's score budget per `_scores` call.
     """
-    from .index import ExclusionPolicy, _rank_of_first, _scores, build_index
+    from .index import ExclusionPolicy, _rank_of_first, _score_rows, build_index
 
     val = corpus.split("validation")
     if not val:
@@ -305,12 +306,12 @@ def _validation_mrr(params, corpus, judgments):
     index = build_index(corpus, params, "train")
     policy = ExclusionPolicy(exclude_self=False, exclude_same_patient=False, min_report_chars=0)
     row_of = {doc_id: i for i, doc_id in enumerate(index.doc_ids)}
+    queries = [encode_query(params, rec.image_features) for rec in val]
     total = 0.0
-    for rec in val:
+    for rec, scores in zip(val, _score_rows(index, queries)):
         wanted = np.zeros(len(row_of), dtype=bool)
         relevant = judgments.relevant.get(rec.report_id, ())
         wanted[[row_of[doc_id] for doc_id in relevant if doc_id in row_of]] = True
-        scores = _scores(index, encode_query(params, rec.image_features))
         rank = _rank_of_first(index, scores, wanted, policy, (rec.report_id, rec.patient_id))
         if rank:
             total += 1.0 / rank

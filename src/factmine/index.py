@@ -1,5 +1,6 @@
 """Exact top-k cosine retrieval over unit-norm document embeddings."""
 
+import functools
 import re
 from dataclasses import dataclass, field
 
@@ -93,14 +94,77 @@ def build_index(corpus, params, split="train"):
     )
 
 
-def _scores(index, query_embedding):
-    # Single scoring route for every caller so batch and per-query paths
-    # are bit-identical (BLAS gemm and gemv reduce in different orders).
-    # Measured with numpy 2.4 on OpenBLAS, n = 12,000, e = 256: of the 50
-    # columns of one (n x e) @ (e x 50) GEMM, 0 were bit-equal to the
-    # per-query GEMV scores (max difference 5e-16). Batches therefore keep
-    # one GEMV per query, so results stay bit-identical, not merely close.
-    return index.matrix @ np.asarray(query_embedding, dtype=np.float64)
+# Bytes of index rows one pass of `_scores` keeps in cache while it
+# scores a group of queries against them.
+_BLOCK_BYTES = 1 << 20
+# Bytes of score rows and candidate rows `search_batch` and
+# `_validation_mrr` hold at once; more queries are scored group by group.
+# Smaller groups read the matrix more often, and a search is slower the
+# longer the matrix has gone unread (after a 33 ms busy loop that reads
+# no memory, one took 1.1-1.8 ms longer). Measured on the bench's
+# 12,000 x 256 index, one BLAS thread, alternating in one process: after
+# a batch of 50 queries the next search took 1.40-1.44 ms with groups of
+# 5 (this budget), 1.78-1.87 ms with groups of 10 and 1.29-1.34 ms with
+# one full GEMV per query, while the batches ran at 1,160, 1,230 and 790
+# q/s. Over 1,000 queries, as `factmine retrieve` scores a split,
+# `search_batch` ran at 1,130 q/s with this budget, 1,162 with 2 MiB and
+# 1,301 with 16 MiB.
+_GROUP_BYTES = 1 << 20
+
+
+def _block_rows(e):
+    # A multiple of 64 rows, so every block starts where the full product's
+    # BLAS kernel starts a group of rows (OpenBLAS sums rows in groups of 4
+    # and a remainder row in another order).
+    return max(64, _BLOCK_BYTES // (8 * e) // 64 * 64)
+
+
+@functools.lru_cache
+def _blocks(n, e):
+    """Row slices of the blocks `_scores` walks; a lone last row joins the block before it."""
+    bounds = list(range(0, n, _block_rows(e))) + [n]
+    if len(bounds) > 2 and n - bounds[-2] == 1:
+        del bounds[-2]
+    return tuple(slice(lo, hi) for lo, hi in zip(bounds, bounds[1:]))
+
+
+def _group_size(index):
+    """Queries whose score rows and candidate rows (8 bytes a row each) fit in _GROUP_BYTES."""
+    return max(1, _GROUP_BYTES // (16 * max(1, len(index.doc_ids))))
+
+
+def _scores(index, queries):
+    """(G, n) scores of a group of G query embeddings against every row.
+
+    The one scoring route for `search`, `search_batch` and validation, so
+    they stay bit-identical: BLAS GEMM and GEMV reduce in different orders
+    (numpy 2.4 on OpenBLAS, n = 12,000, e = 256: 0 of the 50 columns of an
+    (n x e) @ (e x 50) GEMM were bit-equal to the per-query GEMVs, max
+    difference 5e-16). So each query still gets GEMVs, not a GEMM, but
+    the matrix is walked in blocks of about _BLOCK_BYTES and every query
+    is scored against a block while it is in cache, so a group reads the
+    matrix once instead of once per query. A single query walks the same
+    blocks, so its scores do not depend on the group it is in.
+
+    Blocks also keep the scores independent of the BLAS thread count:
+    OpenBLAS 0.3.31 splits a GEMV of more than 460,800 values between
+    threads and sums the rows at a split in another order, while a block
+    holds about 131,072 values (at least 64 rows, so it stays under the
+    split for any e up to 7,000). On one thread a block's GEMV is
+    bit-equal to those rows of one GEMV over all n rows, with one trap: a
+    (1, e) @ (e,) product takes another path (its score differed from the
+    full product's in 37 of 84 shapes tried, e from 1 to 256), so a lone
+    last row is folded into the block before it and a block has one row
+    only when n = 1.
+    """
+    matrix = index.matrix
+    out = np.empty((len(queries), len(matrix)))
+    pairs = list(zip(queries, out))
+    for rows in _blocks(*matrix.shape):
+        block = matrix[rows]
+        for q, scores in pairs:
+            np.dot(block, q, out=scores[rows])
+    return out
 
 
 def _eligible(rows, policy, query_identity):
@@ -111,23 +175,33 @@ def _eligible(rows, policy, query_identity):
         if code is not None:
             mask &= rows.patient != code
     if policy.exclude_self:
-        mask[rows.rows_of.get(report_id, [])] = False
+        # Skipped when the query is not indexed: even an empty fancy
+        # assignment costs 1.7 us, 6% of a search at n = 300.
+        own = rows.rows_of.get(report_id)
+        if own:
+            mask[own] = False
     return mask
 
 
-def search(index, query_embedding, k, policy, query_identity):
-    """Exact top-k by dot product among non-excluded rows.
-
-    Descending score, ties by ascending doc_id. Returns fewer than k
-    entries when exclusions exhaust the corpus beyond that point.
-    """
-    if k < 1:
-        raise InvalidConfig("k must be >= 1")
-    rows = _row_arrays(index)
+def _candidates(rows, policy, query_identity):
+    """The eligible rows, ascending; raises EmptyCandidateSet when there are none."""
     candidates = np.flatnonzero(_eligible(rows, policy, query_identity))
     if candidates.size == 0:
         raise EmptyCandidateSet(f"no eligible documents for query {query_identity[0]!r}")
-    scores = _scores(index, query_embedding)
+    return candidates
+
+
+def _query(index, query_embedding):
+    q = np.asarray(query_embedding, dtype=np.float64)
+    if q.shape != index.matrix.shape[1:]:
+        raise ValueError(
+            f"query embedding has shape {q.shape}, index rows have {index.matrix.shape[1:]}"
+        )
+    return q
+
+
+def _top_k(index, rows, scores, candidates, k):
+    """The k best candidate rows by (-score, doc_id), as (doc_id, score) pairs."""
     picked = scores[candidates]
     if k < candidates.size:
         # Keep every row tied with the k-th largest score; the exact
@@ -140,12 +214,26 @@ def search(index, query_embedding, k, policy, query_identity):
     return [(index.doc_ids[i], s) for i, s in zip(top, scores[top].tolist())]
 
 
+def search(index, query_embedding, k, policy, query_identity):
+    """Exact top-k by dot product among non-excluded rows.
+
+    Descending score, ties by ascending doc_id. Returns fewer than k
+    entries when exclusions exhaust the corpus beyond that point.
+    """
+    if k < 1:
+        raise InvalidConfig("k must be >= 1")
+    rows = _row_arrays(index)
+    candidates = _candidates(rows, policy, query_identity)
+    scores = _scores(index, [_query(index, query_embedding)])[0]
+    return _top_k(index, rows, scores, candidates, k)
+
+
 def _rank_of_first(index, scores, wanted, policy, query_identity):
     """1-based rank, in `search`'s order, of the first eligible row in `wanted`.
 
-    scores are `_scores` of the query and wanted a boolean mask over rows.
-    Counts the eligible rows ahead of that row in O(n), without ranking
-    them; returns 0 when no eligible row is wanted. Raises
+    scores are the query's row of `_scores` and wanted a boolean mask over
+    rows. Counts the eligible rows ahead of that row in O(n), without
+    ranking them; returns 0 when no eligible row is wanted. Raises
     EmptyCandidateSet where `search` would.
     """
     rows = _row_arrays(index)
@@ -162,13 +250,43 @@ def _rank_of_first(index, scores, wanted, policy, query_identity):
 
 
 def search_batch(index, query_embeddings, k, policy, identities):
-    """Elementwise equal (and bit-identical) to per-query search."""
+    """Per-query `search` over a batch, scored group by group through `_scores`.
+
+    Elementwise equal and bit-identical to per-query search, which scores
+    through the same blocks, and raises what that loop raises for its
+    first failing query: each group's queries are checked in order (k,
+    eligibility, shape) before the group is scored.
+    """
     if len(query_embeddings) != len(identities):
         raise ValueError("query_embeddings and identities must align")
-    return [
-        search(index, q, k, policy, ident)
-        for q, ident in zip(query_embeddings, identities)
-    ]
+    if len(identities) == 0:
+        return []
+    if k < 1:
+        raise InvalidConfig("k must be >= 1")
+    rows = _row_arrays(index)
+    step = _group_size(index)
+    results = []
+    for lo in range(0, len(identities), step):
+        group = slice(lo, lo + step)
+        results += _search_group(index, rows, query_embeddings[group], k, policy, identities[group])
+    return results
+
+
+def _search_group(index, rows, query_embeddings, k, policy, identities):
+    # A function of its own, so one group's scores are freed before the
+    # next group is scored.
+    candidates, queries = [], []
+    for q, identity in zip(query_embeddings, identities):
+        candidates.append(_candidates(rows, policy, identity))
+        queries.append(_query(index, q))
+    return [_top_k(index, rows, s, c, k) for c, s in zip(candidates, _scores(index, queries))]
+
+
+def _score_rows(index, queries):
+    """Each query's row of `_scores`, scoring `_group_size` queries at a time."""
+    step = _group_size(index)
+    for lo in range(0, len(queries), step):
+        yield from _scores(index, queries[lo : lo + step])
 
 
 # --- checkpoint io ---------------------------------------------------------

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +10,8 @@ from factmine.cli import main, read_config_file
 from factmine.corpus import Corpus, load_corpus, synth_corpus, write_corpus
 from factmine.encoder import EncoderParams, load_params, save_params
 from factmine.evaluator import oracle_retrieve, read_run
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -133,6 +139,10 @@ def test_config_file_with_flag_override(workdir):
     assert header["config"]["include_self"] is False
     config = read_config_file(workdir / "mine.cfg")
     assert config["chexbert_threshold"] == 0.6
+
+
+TEMPERATURE_UNDERFLOW = ["--pairs", "pairs.tsv", "--checkpoint", "bad.ckpt", "--seed", "7",
+                         "--temperature", "1e-320", "--max-epochs", "1", "--embedding-dim", "16"]
 
 
 def assert_mapped_error(code, capsys, error):
@@ -323,9 +333,7 @@ def test_sidecar_config_records_defaults(workdir):
     (["oracle", "--run", "bad.tsv", "--query-split", "Test"], "InvalidConfig"),
     (["eval", "--run", "run.tsv", "--output", "bad.json", "--query-split", "tets"],
      "InvalidConfig"),
-    pytest.param(["train", "--pairs", "pairs.tsv", "--checkpoint", "bad.ckpt", "--seed", "7",
-                  "--temperature", "1e-320", "--max-epochs", "1", "--embedding-dim", "16"],
-                 "NonFiniteLoss", marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+    (["train", *TEMPERATURE_UNDERFLOW], "NonFiniteLoss"),
 ], ids=["threshold-out-of-range", "top-k-not-int", "k-zero", "batch-size-zero", "unknown-id",
         "unknown-mode", "top-k-not-integral", "include-self-not-bool", "index-split-misspelt",
         "retrieve-split-misspelt", "oracle-split-misspelt", "eval-split-misspelt",
@@ -351,17 +359,38 @@ def test_retrieve_index_of_other_checkpoint_is_mapped_error(workdir, capsys):
     assert retrieve("docs.idx") == 0
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-def test_overflowing_checkpoint_is_mapped_error_and_writes_no_index(workdir, capsys):
-    run_pipeline()
+def save_overflowing_checkpoint(workdir):
     params = load_params(workdir / "enc.ckpt")
     save_params(EncoderParams(params.w_q * 1e300, params.w_d * 1e300, params.temperature),
                 workdir / "huge.ckpt")
+
+
+def test_overflowing_checkpoint_is_mapped_error_and_writes_no_index(workdir, capsys):
+    run_pipeline()
+    save_overflowing_checkpoint(workdir)
     capsys.readouterr()
     code = main(["index", "--corpus", "corpus.jsonl", "--checkpoint", "huge.ckpt",
                  "--index", "huge.idx"])
     assert_mapped_error(code, capsys, "DegenerateEmbedding")
     assert not list(workdir.glob("huge.idx*"))
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["train", "--corpus", "corpus.jsonl", *TEMPERATURE_UNDERFLOW], "NonFiniteLoss"),
+    (["index", "--corpus", "corpus.jsonl", "--checkpoint", "huge.ckpt", "--index", "huge.idx"],
+     "DegenerateEmbedding"),
+], ids=["temperature-underflow", "overflowing-checkpoint"])
+def test_numeric_failure_writes_only_the_json_line_to_stderr(workdir, argv, error):
+    run_pipeline()
+    save_overflowing_checkpoint(workdir)
+    # A fresh process, where no test harness collects numpy's warnings.
+    done = subprocess.run(
+        [sys.executable, "-m", "factmine.cli", *argv], cwd=workdir, capture_output=True,
+        text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert done.returncode == 1
+    [line] = done.stderr.splitlines()
+    assert json.loads(line)["error"] == error
 
 
 def test_non_utf8_corpus_is_mapped_error(workdir, capsys):

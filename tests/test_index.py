@@ -12,12 +12,14 @@ from factmine.encoder import encode_doc, encode_query, init_params
 from factmine.errors import (
     DimensionMismatch,
     EmptyCandidateSet,
+    InvalidConfig,
     MalformedArtifact,
     MissingTextFeatures,
 )
 from factmine.index import (
     EmbeddingIndex,
     ExclusionPolicy,
+    _block_rows,
     _rank_of_first,
     build_index,
     load_index,
@@ -157,6 +159,84 @@ def test_search_batch_empty():
     assert search_batch(index, [], 3, NO_FILTER, []) == []
 
 
+def raised(fn):
+    """(type, message) of what fn() raises."""
+    with pytest.raises(Exception) as info:
+        fn()
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("case", ["k-zero", "ineligible-first", "short-first", "misaligned"])
+def test_search_batch_raises_what_the_per_query_loop_raises(case):
+    index = random_index(40, 8)
+    ok = random_index(1, 8, seed=3).matrix[0]
+    policy = ExclusionPolicy(exclude_self=False, exclude_same_patient=True, min_report_chars=0)
+    index.patient_ids[:] = ["p"] * 40
+    fine, ineligible = ("q0", "other"), ("q1", "p")  # patient "p" owns every row
+    queries, identities, k = {
+        "k-zero": ([ok, ok], [fine, fine], 0),
+        "ineligible-first": ([ok, ok, ok[:5], ok], [fine, ineligible, fine, ineligible], 3),
+        "short-first": ([ok, ok[:5], ok], [fine, fine, ineligible], 3),
+        "misaligned": ([ok, ok], [fine], 3),
+    }[case]
+
+    def loop():
+        if len(queries) != len(identities):
+            raise ValueError("query_embeddings and identities must align")
+        return [search(index, q, k, policy, i) for q, i in zip(queries, identities)]
+
+    want = raised(loop)
+    assert want[0] is {"k-zero": InvalidConfig, "ineligible-first": EmptyCandidateSet}.get(case, ValueError)
+    assert raised(lambda: search_batch(index, queries, k, policy, identities)) == want
+    assert search_batch(index, [], k, policy, []) == []
+
+
+@pytest.mark.parametrize("e", [1, 3, 64, 256])
+def test_blocked_scores_are_bit_equal_to_one_gemv(e):
+    block = _block_rows(e)
+    queries = random_index(3, e, seed=1).matrix
+    for n in (1, 2, block - 1, block, block + 1, 2 * block + 1):
+        index = random_index(n, e, seed=n)
+        got = index_module._scores(index, queries)
+        want = np.stack([index.matrix @ q for q in queries])
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist(), (e, n)
+
+
+def test_search_batch_bits_on_index_whose_last_block_would_have_one_row():
+    n = 2 * _block_rows(256) + 1  # three blocks, the last of one row unless folded
+    index = random_index(n, 256, seed=2)
+    queries = list(random_index(20, 256, seed=4).matrix)
+    identities = [(f"q{i}", f"qp{i}") for i in range(20)]
+    batch = search_batch(index, queries, n, NO_FILTER, identities)
+    assert [bits(hits) for hits in batch] == [
+        bits(search(index, q, n, NO_FILTER, i)) for q, i in zip(queries, identities)
+    ]
+
+
+def test_search_batch_bits_on_index_large_enough_for_threaded_gemv():
+    # 640,000 values: above the size from which OpenBLAS splits one GEMV
+    # between threads, so this runs at the default BLAS thread count.
+    n = 2500
+    index = random_index(n, 256, seed=5)
+    queries = list(random_index(12, 256, seed=6).matrix)
+    identities = [(f"q{i}", f"qp{i}") for i in range(12)]
+    batch = search_batch(index, queries, n, NO_FILTER, identities)
+    assert [bits(hits) for hits in batch] == [
+        bits(search(index, q, n, NO_FILTER, i)) for q, i in zip(queries, identities)
+    ]
+
+
+def test_search_batch_memory_stays_within_the_group_budget():
+    index = random_index(4000, 64, seed=7)
+    queries = list(random_index(500, 64, seed=8).matrix)
+    identities = [(f"q{i}", f"qp{i}") for i in range(500)]
+    search_batch(index, queries[:2], 10, NO_FILTER, identities[:2])  # builds the row arrays
+    batch, peak = traced_peak(search_batch, index, queries, 10, NO_FILTER, identities)
+    assert len(batch) == 500
+    # all 500 score rows at once would take 16 MB, one group about 1 MB
+    assert peak <= index_module._GROUP_BYTES + index.matrix.nbytes
+
+
 def test_index_file_roundtrip(tmp_path):
     index = random_index(20, 6)
     index.checkpoint_sha256 = "ab" * 32
@@ -200,6 +280,11 @@ def bits(hits):
 LEVELS = (-1.0, -0.5, -0.0, 0.0, 0.5, 1.0)
 
 
+def direct_scores(_, queries):
+    """Stands in for `_scores` when each query vector *is* its score row."""
+    return np.asarray(queries, dtype=np.float64)
+
+
 @st.composite
 def search_problems(draw):
     n = draw(st.integers(1, 24))
@@ -230,7 +315,7 @@ def search_problems(draw):
 def test_search_matches_naive_scan(problem):
     index, direct, policy, queries, k_kind, k_any = problem
     n = len(index.doc_ids)
-    scored = mock.patch.object(index_module, "_scores", lambda _, q: q) if direct else contextlib.nullcontext()
+    scored = mock.patch.object(index_module, "_scores", direct_scores) if direct else contextlib.nullcontext()
     with scored:
         live = []
         for q, identity in queries:
@@ -255,10 +340,10 @@ def test_search_matches_naive_scan(problem):
 def test_rank_of_first_matches_naive_scan(problem, data):
     index, direct, policy, queries, _, _ = problem
     n = len(index.doc_ids)
-    scored = mock.patch.object(index_module, "_scores", lambda _, q: q) if direct else contextlib.nullcontext()
+    scored = mock.patch.object(index_module, "_scores", direct_scores) if direct else contextlib.nullcontext()
     with scored:
         for q, identity in queries:
-            scores = index_module._scores(index, q)
+            [scores] = index_module._scores(index, [q])
             wanted = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
             ranked = naive_rows(index, scores, policy, identity)
             if not ranked:
