@@ -244,7 +244,7 @@ def cmd_eval(config):
 
 def cmd_oracle(config):
     corpus = load_corpus(config["corpus"])
-    results = _oracle_run(corpus, config["query_split"])
+    results = _oracle_run(corpus, corpus.split(config["query_split"]))
     run = RetrievalRun(results, provenance={"oracle": True, "query_split": config["query_split"]})
     write_run(run, config["run"])
     write_provenance(config["run"], "oracle", config, [config["corpus"]])

@@ -7,7 +7,7 @@ import numpy as np
 from . import artifacts
 from .errors import EmptyCandidateSet, MalformedArtifact, MissingResult
 from .metrics import chexbert_micro, factual_similarity, rouge_l
-from .mining import MiningConfig, _fact_index, candidate_pairs
+from .mining import MiningConfig, _fact_index, _kept
 
 
 @dataclass
@@ -58,17 +58,18 @@ def eval_retrieval(run, corpus):
 def judge_relevance(corpus, chexbert_threshold, radgraph_threshold, query_split=None):
     """Per-query relevant document sets under the two factual thresholds.
 
-    The mining filter (candidate_pairs) decides relevance: label agreement
-    >= chexbert threshold and graph overlap strictly > radgraph threshold,
-    self excluded. Queries default to every record in the corpus.
+    The mining filter (mining._kept, as candidate_pairs applies it) decides
+    relevance: label agreement >= chexbert threshold and graph overlap
+    strictly > radgraph threshold, self excluded. Queries default to every
+    record in the corpus.
     """
     config = MiningConfig(chexbert_threshold, radgraph_threshold)
-    docs = corpus.split("train")
+    index = _fact_index(corpus.split("train"))
     queries = corpus.records if query_split is None else corpus.split(query_split)
-    relevant = {
-        query.report_id: {doc_id for doc_id, _, _ in candidate_pairs(query, docs, config)}
-        for query in queries
-    }
+    relevant = {}
+    for block in index.blocks(queries):
+        for query, kept in zip(block, _kept(index.scores(block), config)):
+            relevant[query.report_id] = {index.ids[row] for row in np.flatnonzero(kept).tolist()}
     return RelevanceJudgment(relevant, chexbert_threshold, radgraph_threshold)
 
 
@@ -100,27 +101,36 @@ def oracle_retrieve(corpus, query_id):
     break by ascending doc_id. Returns (doc_id, summed score), the score
     equal to chexbert_instance + factual_similarity of the pick.
     """
-    query = corpus[query_id]
-    return _oracle_pick(_fact_index(corpus.split("train")), query)
+    return _oracle_run(corpus, [corpus[query_id]])[query_id][0]
 
 
-def _oracle_run(corpus, query_split):
-    """{query_id: [oracle_retrieve(corpus, query_id)]} over the query split,
-    with the train split indexed once for all of them."""
-    queries = corpus.split(query_split)
+def _oracle_run(corpus, queries):
+    """{query_id: [oracle_retrieve(corpus, query_id)]} over the query records,
+    with the train split indexed once for all of them. A query with no
+    candidate raises before any later block is scored."""
+    run = {}
+    for query, pick in zip(queries, _oracle_picks(corpus, queries)):
+        if pick is None:
+            raise EmptyCandidateSet(f"no oracle candidates for query {query.report_id!r}")
+        run[query.report_id] = [pick]
+    return run
+
+
+def _oracle_picks(corpus, queries):
+    """oracle_retrieve's (doc_id, score) of each query record in turn, None
+    for a query with no candidate; each block is scored as it is reached."""
     index = _fact_index(corpus.split("train"))
-    return {query.report_id: [_oracle_pick(index, query)] for query in queries}
-
-
-def _oracle_pick(index, query):
-    """oracle_retrieve of query, given the _FactIndex of the train split."""
-    agree, rad, others = index.scores(query)
-    if not others.any():
-        raise EmptyCandidateSet(f"no oracle candidates for query {query.report_id!r}")
-    total = np.where(others, agree + rad, -np.inf)
-    best = np.flatnonzero(total == total.max())
-    row = best[np.argmin(index.rank[best])]
-    return index.ids[row], float(total[row])
+    for block in index.blocks(queries):
+        agree, rad, others = index.scores(block)
+        if not others.size:
+            yield from [None] * len(block)
+            continue
+        total = np.where(others, agree + rad, -np.inf)
+        best = total == total.max(axis=1, keepdims=True)
+        rows = np.where(best, index.rank, len(index.rank)).argmin(axis=1)
+        scores = total[np.arange(len(block)), rows].tolist()
+        for row, score, found in zip(rows.tolist(), scores, others.any(axis=1).tolist()):
+            yield (index.ids[row], score) if found else None
 
 
 # --- run file io -----------------------------------------------------------

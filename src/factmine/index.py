@@ -155,7 +155,9 @@ def _scores(index, queries):
     (1, e) @ (e,) product takes another path (its score differed from the
     full product's in 37 of 84 shapes tried, e from 1 to 256), so a lone
     last row is folded into the block before it and a block has one row
-    only when n = 1.
+    only when n = 1. Blocks are scored with `np.matmul`, as `matrix @ q`
+    is: `np.dot` of [[0.0]] and [-1.0] gives -0.0 where `matrix @ q`
+    gives 0.0.
     """
     matrix = index.matrix
     out = np.empty((len(queries), len(matrix)))
@@ -163,7 +165,7 @@ def _scores(index, queries):
     for rows in _blocks(*matrix.shape):
         block = matrix[rows]
         for q, scores in pairs:
-            np.dot(block, q, out=scores[rows])
+            np.matmul(block, q, out=scores[rows])
     return out
 
 

@@ -6,9 +6,8 @@ from dataclasses import dataclass
 from . import artifacts
 from .encoder import encode_query
 from .errors import EmptyCandidateSet, InvalidConfig, MalformedArtifact
-from .evaluator import _oracle_pick
+from .evaluator import _oracle_picks
 from .index import build_index, search
-from .mining import _fact_index
 
 VQA_TEMPLATE = "Generate a radiology report from this image: <image>"
 RAG_TEMPLATE = (
@@ -46,10 +45,10 @@ def build_rag_dataset(corpus, params, policy, mode):
     if mode not in MODES:
         raise InvalidConfig(f"unknown mode {mode!r}")
     index = build_index(corpus, params, "train") if mode == "rag" else None
-    facts = _fact_index(corpus.split("train")) if mode == "oracle-rag" else None
+    picks = list(_oracle_picks(corpus, corpus.records)) if mode == "oracle-rag" else None
     examples = []
     warnings = 0
-    for rec in corpus.records:
+    for i, rec in enumerate(corpus.records):
         retrieved_id = None
         if mode == "rag":
             q = encode_query(params, rec.image_features)
@@ -59,10 +58,10 @@ def build_rag_dataset(corpus, params, policy, mode):
             except EmptyCandidateSet:
                 warnings += 1
         elif mode == "oracle-rag":
-            try:
-                retrieved_id, _ = _oracle_pick(facts, rec)
-            except EmptyCandidateSet:
+            if picks[i] is None:
                 warnings += 1
+            else:
+                retrieved_id, _ = picks[i]
         retrieved_text = None if retrieved_id is None else corpus[retrieved_id].report_text
         examples.append(
             RagExample(

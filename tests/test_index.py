@@ -213,6 +213,13 @@ def test_search_batch_bits_on_index_whose_last_block_would_have_one_row():
     ]
 
 
+def test_one_row_index_scores_a_zero_with_the_full_products_sign():
+    # np.dot of [[0.0]] and [-1.0] gives -0.0, the full product 0.0
+    index = EmbeddingIndex(["d"], np.array([[0.0]]), ["p"], [20])
+    q = np.array([-1.0])
+    assert bits(search(index, q, 1, NO_FILTER, ("q", "qp"))) == [("d", (index.matrix @ q)[0].hex())]
+
+
 def test_search_batch_bits_on_index_large_enough_for_threaded_gemv():
     # 640,000 values: above the size from which OpenBLAS splits one GEMV
     # between threads, so this runs at the default BLAS thread count.

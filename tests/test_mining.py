@@ -1,11 +1,15 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from factmine import mining
 from factmine.corpus import FactGraph, synth_corpus
-from factmine.errors import EmptyCandidateSet, EmptyTrainSplit, LengthMismatch
-from factmine.evaluator import oracle_retrieve
+from factmine.errors import EmptyCandidateSet, EmptyTrainSplit, InvalidConfig, LengthMismatch
+from factmine.evaluator import _oracle_run, judge_relevance, oracle_retrieve
+from factmine.index import ExclusionPolicy
 from factmine.metrics import chexbert_instance, factual_similarity
 from factmine.mining import (
+    MinedPair,
     MiningConfig,
     SELF_RANK,
     candidate_pairs,
@@ -13,10 +17,12 @@ from factmine.mining import (
     read_pairs,
     threshold_sweep,
     write_pairs,
+    _FactIndex,
     _fact_index,
 )
+from factmine.ragdata import build_rag_dataset
 
-from conftest import entity_graph, make_corpus, make_record
+from conftest import entity_graph, make_corpus, make_record, traced_peak
 
 
 def test_exact_label_candidate_retained():
@@ -109,6 +115,11 @@ def test_sweep_singleton():
     rows = threshold_sweep(corpus, [MiningConfig()])
     assert len(rows) == 1
     assert rows[0]["mean_pairs_per_query"] >= 0
+
+
+def test_sweep_empty_grid_raises_invalid_config():
+    with pytest.raises(InvalidConfig, match="^empty threshold grid$"):
+        threshold_sweep(synth_corpus(4, 20), [])
 
 
 def test_sweep_monotone_in_radgraph_threshold():
@@ -294,3 +305,175 @@ def test_label_length_mismatch_raises():
         candidate_pairs(make_record("q", labels=(1, 0, 0, 0)), docs, config)
     with pytest.raises(LengthMismatch):
         candidate_pairs(docs[0], docs + [make_record("c", labels=(1, 0, 0, 0, 0, 0))], config)
+
+
+# --- blocks of queries -------------------------------------------------------
+
+# Label vectors no doc in fact_problems carries.
+UNSEEN_LABEL_VECTORS = [(0, 0, 0, 0, 1), (0, 1, 1, 0, 1)]
+
+
+@st.composite
+def score_blocks(draw):
+    """(docs, queries, warm): 1-6 queries drawn from the docs (ids may
+    repeat) and from records outside them; warm lists label vectors whose
+    agreement the index computes before the block."""
+    docs, _, _ = draw(fact_problems())
+    outside = [
+        make_record(f"q{i}", labels=draw(st.sampled_from(LABEL_VECTORS + UNSEEN_LABEL_VECTORS)),
+                    graph=draw(fact_graphs()), split="test")
+        for i in range(3)
+    ]
+    queries = draw(st.lists(st.sampled_from(docs + outside), min_size=1, max_size=6))
+    warm = draw(st.lists(st.sampled_from(LABEL_VECTORS + UNSEEN_LABEL_VECTORS), max_size=3))
+    return docs, queries, warm
+
+
+@settings(max_examples=200, deadline=None)
+@given(score_blocks())
+def test_block_scores_equal_each_query_alone_and_the_reference(problem):
+    docs, queries, warm = problem
+    index = _FactIndex(docs)
+    for labels in warm:
+        index.scores([make_record("w", labels=labels)])
+    block = index.scores(queries)
+    for arr, dtype in zip(block, (np.float64, np.float64, np.bool_)):
+        assert arr.dtype == dtype and arr.shape == (len(queries), len(docs))
+    for g, query in enumerate(queries):
+        alone = _FactIndex(docs).scores([query])
+        for got, want in zip(block, alone):
+            assert np.array_equal(got[g].view(np.int8), want[0].view(np.int8))
+        agree = np.array([chexbert_instance(query.labels, d.labels) for d in docs], dtype=float)
+        rad = np.array([factual_similarity(query.graph, d.graph) for d in docs], dtype=float)
+        assert np.array_equal(block[0][g].view(np.int64), agree.view(np.int64))
+        assert np.array_equal(block[1][g].view(np.int64), rad.view(np.int64))
+        assert block[2][g].tolist() == [d.report_id != query.report_id for d in docs]
+
+
+def naive_oracle(query, train):
+    sums = [
+        (chexbert_instance(query.labels, d.labels) + factual_similarity(query.graph, d.graph),
+         d.report_id)
+        for d in train
+        if d.report_id != query.report_id
+    ]
+    if not sums:
+        return None
+    best = max(score for score, _ in sums)
+    return min(doc_id for score, doc_id in sums if score == best), best
+
+
+def block_results(corpus):
+    """What every blocked caller of the fact kernel returns on corpus."""
+    mined = mine_pairs(corpus, MiningConfig(0.6, 0.1, top_k=3))
+    rag, warnings = build_rag_dataset(corpus, None, ExclusionPolicy(), "oracle-rag")
+    return {
+        "mine": (mined.pairs, mined.stats),
+        "sweep": threshold_sweep(
+            corpus, [MiningConfig(c, r, top_k=2) for c in (0.6, 1.0) for r in (0.0, 0.2)]
+        ),
+        "judge": judge_relevance(corpus, 0.6, 0.1).relevant,
+        "oracle": _oracle_run(corpus, corpus.split("test")),
+        "oracle-rag": ([ex.retrieved_doc_id for ex in rag], warnings),
+    }
+
+
+@pytest.fixture(scope="module")
+def block_corpus():
+    corpus = synth_corpus(6, 40)
+    return corpus, block_results(corpus)
+
+
+def test_default_block_results_equal_naive_references(block_corpus):
+    corpus, got = block_corpus
+    train = corpus.split("train")
+    mine_config = MiningConfig(0.6, 0.1, top_k=3)
+    pairs, stats = got["mine"]
+    for q in train:
+        want = naive_candidates(q, train, mine_config)[:3]
+        assert [(p.doc_id, p.rank, p.rad_score, p.chex_score) for p in pairs[q.report_id]] == [
+            (q.report_id, SELF_RANK, 1.0, 1.0),
+            *((doc_id, rank, rad, chex) for rank, (doc_id, rad, chex) in enumerate(want, start=1)),
+        ]
+    mined = sum(len(pairs[q.report_id]) - 1 for q in train)
+    assert stats["mean_pairs_per_query"] == mined / len(train)
+    for row, (c, r) in zip(got["sweep"], [(c, r) for c in (0.6, 1.0) for r in (0.0, 0.2)]):
+        counts = [naive_candidate_count(q, train, MiningConfig(c, r)) for q in train]
+        assert row["mean_pairs_per_query"] == sum(counts) / len(train)
+        assert row["zero_pair_fraction"] == counts.count(0) / len(train)
+        assert row["mean_pairs_per_query_truncated"] == sum(min(n, 2) for n in counts) / len(train)
+    assert got["judge"] == {
+        q.report_id: {d for d, _, _ in naive_candidates(q, train, MiningConfig(0.6, 0.1))}
+        for q in corpus.records
+    }
+    assert got["oracle"] == {q.report_id: [naive_oracle(q, train)] for q in corpus.split("test")}
+    picks = [naive_oracle(q, train) for q in corpus.records]
+    assert got["oracle-rag"] == ([p and p[0] for p in picks], picks.count(None))
+
+
+@pytest.mark.parametrize("entries", ["1", "n - 1", "n", "n + 1", "2n + 1", "7n"])
+def test_block_boundaries_do_not_change_results(block_corpus, monkeypatch, entries):
+    corpus, default = block_corpus
+    n = len(corpus.split("train"))
+    budget = {"1": 1, "n - 1": n - 1, "n": n, "n + 1": n + 1, "2n + 1": 2 * n + 1, "7n": 7 * n}
+    monkeypatch.setattr(mining, "_BLOCK_BYTES", 8 * budget[entries])
+    assert block_results(corpus) == default
+
+
+def test_bad_label_vector_in_a_later_block_is_reported_first_come(monkeypatch):
+    train = [make_record(f"t{i}", graph=entity_graph("heart", f"x{i}")) for i in range(4)]
+    tests = [make_record(f"q{i}", split="test") for i in range(9)]
+    tests[5] = make_record("q5", labels=(1, 0, 0, 0), split="test")
+    tests[7] = make_record("q7", labels=(1, 0, 0, 0, 0, 0), split="test")
+    corpus = make_corpus(train + tests)
+    monkeypatch.setattr(mining, "_BLOCK_BYTES", 8 * 2 * len(train))  # blocks of 2 queries
+    message = "^label vectors must have 5 entries, got 4$"
+    with pytest.raises(LengthMismatch, match=message):
+        judge_relevance(corpus, 0.6, 0.1, query_split="test")
+    with pytest.raises(LengthMismatch, match=message):
+        _oracle_run(corpus, corpus.split("test"))
+    with pytest.raises(LengthMismatch, match=message):
+        build_rag_dataset(corpus, None, ExclusionPolicy(), "oracle-rag")
+    with pytest.raises(LengthMismatch, match=message):
+        _fact_index(train).scores(tests)
+    tests[5] = make_record("q5", split="test")
+    with pytest.raises(LengthMismatch, match="^label vectors must have 5 entries, got 6$"):
+        judge_relevance(make_corpus(train + tests), 0.6, 0.1, query_split="test")
+
+
+def test_oracle_reports_a_query_without_candidates_before_a_later_block(monkeypatch):
+    train = [make_record("t0")]
+    corpus = make_corpus(train + [make_record("q0", labels=(1, 0, 0, 0), split="test")])
+    queries = [train[0], corpus["q0"]]  # t0's only candidate is itself
+    # One block: its label vectors are checked before any query is picked.
+    with pytest.raises(LengthMismatch, match="^label vectors must have 5 entries, got 4$"):
+        _oracle_run(corpus, queries)
+    monkeypatch.setattr(mining, "_BLOCK_BYTES", 8)  # blocks of 1 query
+    with pytest.raises(EmptyCandidateSet, match="^no oracle candidates for query 't0'$"):
+        _oracle_run(corpus, queries)
+
+
+def mined_one_query_at_a_time(corpus, config):
+    """mine_pairs(corpus, config).pairs, each query scored by candidate_pairs."""
+    train = corpus.split("train")
+    return {
+        q.report_id: [MinedPair(q.report_id, SELF_RANK, 1.0, 1.0)] + [
+            MinedPair(doc_id, rank, rad, chex) for rank, (doc_id, rad, chex)
+            in enumerate(candidate_pairs(q, train, config)[: config.top_k], start=1)
+        ]
+        for q in train
+    }
+
+
+def test_mining_memory_is_bounded_by_the_block_budget():
+    """Blocks add at most 1 MiB (16 block budgets) to the peak of mining a
+    split one query at a time; one block of the whole split would add 72 MB
+    an array at this size."""
+    corpus = synth_corpus(0, 4300)
+    assert len(corpus.split("train")) >= 2900
+    config = MiningConfig(1.0, 0.0)
+    mine_pairs(corpus, config)  # builds and caches the fact index and every graph's items
+    blocked, peak = traced_peak(mine_pairs, corpus, config)
+    single, single_peak = traced_peak(mined_one_query_at_a_time, corpus, config)
+    assert blocked.pairs == single
+    assert peak <= single_peak + 16 * mining._BLOCK_BYTES
