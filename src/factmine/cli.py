@@ -15,6 +15,7 @@ from .errors import (
     DimensionMismatch,
     FactmineError,
     InvalidConfig,
+    MalformedArtifact,
     MissingResult,
 )
 from .evaluator import (
@@ -218,7 +219,14 @@ def cmd_retrieve(config):
 def cmd_eval(config):
     corpus = load_corpus(config["corpus"])
     run = read_run(config["run"])
-    for rec in corpus.split(config["query_split"]):
+    queries = corpus.split(config["query_split"])
+    split_ids = {rec.report_id for rec in queries}
+    for query_id in run.results:
+        if query_id not in split_ids:
+            raise MalformedArtifact(
+                config["run"], f"query {query_id!r} is not in the {config['query_split']} split"
+            )
+    for rec in queries:
         if rec.report_id not in run.results or not run.results[rec.report_id]:
             raise MissingResult(rec.report_id)
     score = eval_retrieval(run, corpus)

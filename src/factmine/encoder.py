@@ -25,7 +25,7 @@ from .errors import (
     NonFiniteLoss,
     NoPositives,
 )
-from .evaluator import judge_relevance
+from .evaluator import _relevant_rows
 
 _NORM_FLOOR = 1e-12
 # Rows per block of `_normalize_rows`: at e = 256 a block's squared
@@ -289,30 +289,28 @@ def _batches(corpus, rows, order, batch_size):
     ]
 
 
-def _validation_mrr(params, corpus, judgments):
+def _validation_mrr(params, corpus, relevant):
     """MRR of validation queries against the train corpus, for early stopping.
 
+    relevant holds each validation query's relevant train rows, in
+    `corpus.split("validation")` order (`evaluator._relevant_rows`); a
+    list of another length raises ValueError.
     Equals `evaluator.mrr` over full `search` rankings, float for float:
     each query's first relevant rank is counted by `_rank_of_first`
     instead of ranking every document, and the reciprocals are summed in
     the same order. The queries are scored together, a group that fits
     the index's score budget per `_scores` call.
     """
-    from .index import ExclusionPolicy, _rank_of_first, _score_rows, build_index
+    from .index import _rank_of_first, _score_rows, build_index
 
     val = corpus.split("validation")
     if not val:
         return None
     index = build_index(corpus, params, "train")
-    policy = ExclusionPolicy(exclude_self=False, exclude_same_patient=False, min_report_chars=0)
-    row_of = {doc_id: i for i, doc_id in enumerate(index.doc_ids)}
     queries = [encode_query(params, rec.image_features) for rec in val]
     total = 0.0
-    for rec, scores in zip(val, _score_rows(index, queries)):
-        wanted = np.zeros(len(row_of), dtype=bool)
-        relevant = judgments.relevant.get(rec.report_id, ())
-        wanted[[row_of[doc_id] for doc_id in relevant if doc_id in row_of]] = True
-        rank = _rank_of_first(index, scores, wanted, policy, (rec.report_id, rec.patient_id))
+    for scores, rows in zip(_score_rows(index, queries), relevant, strict=True):
+        rank = _rank_of_first(index, scores, rows)
         if rank:
             total += 1.0 / rank
     return total / len(val)
@@ -320,24 +318,28 @@ def _validation_mrr(params, corpus, judgments):
 
 def _hard_negatives(params, corpus, pairs, k):
     """Top-k retrieved non-positive train documents per query."""
-    from .index import ExclusionPolicy, build_index, search
+    from .index import ExclusionPolicy, build_index, search_batch
 
     index = build_index(corpus, params, "train")
     policy = ExclusionPolicy(exclude_self=True, exclude_same_patient=False, min_report_chars=0)
-    out = {}
-    for query_id in pairs.pairs:
-        rec = corpus[query_id]
-        q = encode_query(params, rec.image_features)
-        positives = set(pairs.doc_ids(query_id))
-        # search's order is total, so its top k + |positives| rows are a
-        # prefix of the full ranking holding the first k non-positives.
-        ranked = search(index, q, k + len(positives), policy, (rec.report_id, rec.patient_id))
-        picked = [doc_id for doc_id, _ in ranked if doc_id not in positives][:k]
-        out[query_id] = picked
-    return out
+    queries = [corpus[query_id] for query_id in pairs.pairs]
+    positives = [set(pairs.doc_ids(rec.report_id)) for rec in queries]
+    # search's order is total, so each query's top k + max |positives| rows
+    # are a prefix of the full ranking holding its first k non-positives.
+    ranked = search_batch(
+        index,
+        [encode_query(params, rec.image_features) for rec in queries],
+        k + max(map(len, positives), default=0),
+        policy,
+        [(rec.report_id, rec.patient_id) for rec in queries],
+    )
+    return {
+        rec.report_id: [doc_id for doc_id, _ in hits if doc_id not in own][:k]
+        for rec, own, hits in zip(queries, positives, ranked)
+    }
 
 
-def _run_epochs(params, corpus, rows, config, rng, log, stage, val_judgments):
+def _run_epochs(params, corpus, rows, config, rng, log, stage, val_relevant):
     best = params.copy()
     best_mrr = -np.inf
     stale = 0
@@ -356,7 +358,7 @@ def _run_epochs(params, corpus, rows, config, rng, log, stage, val_judgments):
             params.w_d -= lr * g_d + lr * config.weight_decay * params.w_d
         if not np.isfinite(epoch_loss):
             raise DivergedLoss(f"epoch {epoch} loss is {epoch_loss}")
-        val_mrr = _validation_mrr(params, corpus, val_judgments)
+        val_mrr = _validation_mrr(params, corpus, val_relevant)
         log.append(
             {
                 "stage": stage,
@@ -414,16 +416,14 @@ def train(corpus, pairs, config):
         config.seed, corpus.d_img, corpus.d_txt, config.embedding_dim, config.temperature
     )
     log = []
-    # Relevant train documents per validation query; they never change.
-    val_judgments = judge_relevance(
-        corpus,
-        config.val_chexbert_threshold,
-        config.val_radgraph_threshold,
-        query_split="validation",
-    )
+    # Relevant train rows per validation query; they never change.
+    val_relevant = list(_relevant_rows(
+        corpus, config.val_chexbert_threshold, config.val_radgraph_threshold,
+        corpus.split("validation"),
+    ))
     no_hard = np.empty((len(examples), 0), dtype=np.int64)
     stage_rows = (query_rows, doc_rows, no_hard, no_hard.astype(bool))
-    params = _run_epochs(params, corpus, stage_rows, config, rng, log, "in_batch", val_judgments)
+    params = _run_epochs(params, corpus, stage_rows, config, rng, log, "in_batch", val_relevant)
     k = config.hard_negative_k
     if k > 0:
         hard = _hard_negatives(params, corpus, pairs, k)
@@ -435,7 +435,7 @@ def train(corpus, pairs, config):
         hard_rows[mask] = [rows[doc_id] for p in picked for doc_id in p]
         stage_rows = (query_rows, doc_rows, hard_rows, mask)
         params = _run_epochs(
-            params, corpus, stage_rows, config, rng, log, "hard_negative", val_judgments
+            params, corpus, stage_rows, config, rng, log, "hard_negative", val_relevant
         )
     return params, log
 

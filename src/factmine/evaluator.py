@@ -63,14 +63,24 @@ def judge_relevance(corpus, chexbert_threshold, radgraph_threshold, query_split=
     strictly > radgraph threshold, self excluded. Queries default to every
     record in the corpus.
     """
+    queries = corpus.records if query_split is None else corpus.split(query_split)
+    ids = [doc.report_id for doc in corpus.split("train")]
+    found = _relevant_rows(corpus, chexbert_threshold, radgraph_threshold, queries)
+    relevant = {q.report_id: {ids[row] for row in rows.tolist()} for q, rows in zip(queries, found)}
+    return RelevanceJudgment(relevant, chexbert_threshold, radgraph_threshold)
+
+
+def _relevant_rows(corpus, chexbert_threshold, radgraph_threshold, queries):
+    """Each query record's relevant train documents in turn, as ascending rows
+    of corpus.split("train"), the rows build_index(corpus, params, "train")
+    gives them; judged as judge_relevance judges, a block at a time."""
     config = MiningConfig(chexbert_threshold, radgraph_threshold)
     index = _fact_index(corpus.split("train"))
-    queries = corpus.records if query_split is None else corpus.split(query_split)
-    relevant = {}
-    for block in index.blocks(queries):
-        for query, kept in zip(block, _kept(index.scores(block), config)):
-            relevant[query.report_id] = {index.ids[row] for row in np.flatnonzero(kept).tolist()}
-    return RelevanceJudgment(relevant, chexbert_threshold, radgraph_threshold)
+    return (
+        np.flatnonzero(kept)
+        for block in index.blocks(queries)
+        for kept in _kept(index.scores(block), config)
+    )
 
 
 def mrr(run, judgments, drop_unjudged=False):

@@ -169,7 +169,8 @@ def _scores(index, queries):
     return out
 
 
-def _eligible(rows, policy, query_identity):
+def _candidates(rows, policy, query_identity):
+    """The eligible rows, ascending; raises EmptyCandidateSet when there are none."""
     report_id, patient_id = query_identity
     mask = rows.chars >= policy.min_report_chars
     if policy.exclude_same_patient:
@@ -182,14 +183,9 @@ def _eligible(rows, policy, query_identity):
         own = rows.rows_of.get(report_id)
         if own:
             mask[own] = False
-    return mask
-
-
-def _candidates(rows, policy, query_identity):
-    """The eligible rows, ascending; raises EmptyCandidateSet when there are none."""
-    candidates = np.flatnonzero(_eligible(rows, policy, query_identity))
+    candidates = np.flatnonzero(mask)
     if candidates.size == 0:
-        raise EmptyCandidateSet(f"no eligible documents for query {query_identity[0]!r}")
+        raise EmptyCandidateSet(f"no eligible documents for query {report_id!r}")
     return candidates
 
 
@@ -216,6 +212,22 @@ def _top_k(index, rows, scores, candidates, k):
     return [(index.doc_ids[i], s) for i, s in zip(top, scores[top].tolist())]
 
 
+def _rank_of_first(index, scores, rows):
+    """1-based rank, in unfiltered `search` order, of the first of `rows`.
+
+    scores are the query's row of `_scores` and rows an integer array of
+    row numbers. Counts the rows ahead of that row in O(n), without
+    ranking them; returns 0 when rows is empty.
+    """
+    if rows.size == 0:
+        return 0
+    id_rank = _row_arrays(index).id_rank
+    best = scores[rows].max()
+    first = id_rank[rows[scores[rows] == best]].min()
+    ahead = (scores > best) | ((scores == best) & (id_rank < first))
+    return int(np.count_nonzero(ahead)) + 1
+
+
 def search(index, query_embedding, k, policy, query_identity):
     """Exact top-k by dot product among non-excluded rows.
 
@@ -224,31 +236,8 @@ def search(index, query_embedding, k, policy, query_identity):
     """
     if k < 1:
         raise InvalidConfig("k must be >= 1")
-    rows = _row_arrays(index)
-    candidates = _candidates(rows, policy, query_identity)
-    scores = _scores(index, [_query(index, query_embedding)])[0]
-    return _top_k(index, rows, scores, candidates, k)
-
-
-def _rank_of_first(index, scores, wanted, policy, query_identity):
-    """1-based rank, in `search`'s order, of the first eligible row in `wanted`.
-
-    scores are the query's row of `_scores` and wanted a boolean mask over
-    rows. Counts the eligible rows ahead of that row in O(n), without
-    ranking them; returns 0 when no eligible row is wanted. Raises
-    EmptyCandidateSet where `search` would.
-    """
-    rows = _row_arrays(index)
-    eligible = _eligible(rows, policy, query_identity)
-    if not eligible.any():
-        raise EmptyCandidateSet(f"no eligible documents for query {query_identity[0]!r}")
-    hits = np.flatnonzero(eligible & wanted)
-    if hits.size == 0:
-        return 0
-    best = scores[hits].max()
-    first = rows.id_rank[hits[scores[hits] == best]].min()
-    ahead = (scores > best) | ((scores == best) & (rows.id_rank < first))
-    return int(np.count_nonzero(ahead & eligible)) + 1
+    [top] = _search_group(index, _row_arrays(index), [query_embedding], k, policy, [query_identity])
+    return top
 
 
 def search_batch(index, query_embeddings, k, policy, identities):

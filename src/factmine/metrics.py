@@ -82,19 +82,10 @@ def _lcs_length(a, b):
     return prev[-1]
 
 
-def tokenize(text):
-    return text.lower().split()
-
-
 def rouge_l(ref, hyp):
-    """ROUGE-L F1 (balanced beta) over lowercase whitespace tokens.
-
-    Accepts strings or pre-split token sequences.
-    """
-    ref_toks = tokenize(ref) if isinstance(ref, str) else list(ref)
-    hyp_toks = tokenize(hyp) if isinstance(hyp, str) else list(hyp)
-    ref_toks = [t.lower() for t in ref_toks]
-    hyp_toks = [t.lower() for t in hyp_toks]
+    """ROUGE-L F1 (balanced beta) of two strings over lowercase whitespace tokens."""
+    ref_toks = ref.lower().split()
+    hyp_toks = hyp.lower().split()
     if not ref_toks or not hyp_toks:
         return 0.0
     lcs = _lcs_length(ref_toks, hyp_toks)

@@ -88,6 +88,22 @@ def test_eval_missing_query_is_mapped_error(workdir, capsys):
     assert record["error"] == "MissingResult"
 
 
+def test_eval_run_query_outside_split_is_mapped_error(workdir, capsys):
+    assert main(["oracle", "--corpus", "corpus.jsonl", "--run", "test.tsv"]) == 0
+    assert main(["oracle", "--corpus", "corpus.jsonl", "--run", "val.tsv",
+                 "--query-split", "validation"]) == 0
+    val_lines = (workdir / "val.tsv").read_text().splitlines()[1:]
+    (workdir / "both.tsv").write_text((workdir / "test.tsv").read_text() + "\n".join(val_lines) + "\n")
+    capsys.readouterr()
+    code = main(["eval", "--corpus", "corpus.jsonl", "--run", "both.tsv", "--output", "both.json"])
+    record = assert_mapped_error(code, capsys, "MalformedArtifact")
+    first = val_lines[0].split("\t")[0]
+    assert record["message"] == f"both.tsv: query {first!r} is not in the test split"
+    assert not (workdir / "both.json").exists()
+    assert main(["eval", "--corpus", "corpus.jsonl", "--run", "test.tsv",
+                 "--output", "test.json"]) == 0
+
+
 def test_train_requires_seed(workdir, capsys):
     assert main(["mine", "--corpus", "corpus.jsonl", "--pairs", "pairs.tsv"]) == 0
     code = main(["train", "--corpus", "corpus.jsonl", "--pairs", "pairs.tsv",

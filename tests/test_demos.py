@@ -1,5 +1,7 @@
-"""Each demo script runs to completion against the package in src/."""
+"""Each demo script runs to completion against the package in src/, using only
+factmine's public names."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -25,3 +27,24 @@ def test_demo_runs(demo, tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout
+
+
+def _private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_uses_only_public_names(demo):
+    private = []
+    for node in ast.walk(ast.parse(demo.read_text(), str(demo))):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "factmine":
+            names = node.module.split(".") + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [part for alias in node.names if alias.name.split(".")[0] == "factmine"
+                     for part in alias.name.split(".")]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        private += [f"line {node.lineno}: {name}" for name in names if _private(name)]
+    assert not private

@@ -29,7 +29,7 @@ from factmine.errors import (
     MissingTextFeatures,
     NoPositives,
 )
-from factmine.evaluator import RetrievalRun, judge_relevance, mrr
+from factmine.evaluator import RetrievalRun, _relevant_rows, judge_relevance, mrr
 from factmine.index import ExclusionPolicy, build_index, search
 from factmine.mining import SELF_RANK, MinedPair, MiningConfig, PairSet, mine_pairs
 
@@ -433,10 +433,10 @@ def test_train_improves_validation_mrr():
     corpus, pairs = small_training_setup(seed=11, n=140)
     config = TrainConfig(learning_rate=0.05, max_epochs=5, seed=11, embedding_dim=32)
     params, log = train(corpus, pairs, config)
-    judgments = judge_relevance(corpus, 0.6, 0.1, query_split="validation")
-    trained = _validation_mrr(params, corpus, judgments)
+    relevant = list(_relevant_rows(corpus, 0.6, 0.1, corpus.split("validation")))
+    trained = _validation_mrr(params, corpus, relevant)
     untrained = _validation_mrr(
-        init_params(11, corpus.d_img, corpus.d_txt, 32), corpus, judgments
+        init_params(11, corpus.d_img, corpus.d_txt, 32), corpus, relevant
     )
     assert trained > untrained
 
@@ -517,6 +517,17 @@ def full_ranking_mrr(params, corpus, judgments):
     )
 
 
+def validation_rows(corpus, judgments):
+    """judgments' train documents of each validation query, as ascending
+    train rows in validation order; ids outside the train split dropped."""
+    row = {rec.report_id: i for i, rec in enumerate(corpus.split("train"))}
+    return [
+        np.array(sorted(row[d] for d in judgments.relevant.get(rec.report_id, ()) if d in row),
+                 dtype=np.intp)
+        for rec in corpus.split("validation")
+    ]
+
+
 def foreign_and_empty_judgments(corpus, seed=0):
     """Per validation query in turn: no entry, an empty set, only ids outside
     the train split, and those plus a few train ids."""
@@ -543,7 +554,7 @@ def foreign_and_empty_judgments(corpus, seed=0):
 def test_validation_mrr_equals_mrr_of_full_rankings(setup, judge):
     corpus, params = setup()
     judgments = judge(corpus)
-    got = _validation_mrr(params, corpus, judgments)
+    got = _validation_mrr(params, corpus, validation_rows(corpus, judgments))
     assert got.hex() == full_ranking_mrr(params, corpus, judgments).hex()
     if setup is tied_setup:
         index = build_index(corpus, params, "train")
@@ -556,8 +567,17 @@ def test_validation_mrr_without_validation_split_is_none():
     records = [replace(r, split="test") if r.split == "validation" else r for r in corpus.records]
     corpus = Corpus(records, corpus.d_img, corpus.d_txt)
     judgments = judge_relevance(corpus, 0.6, 0.1, query_split="validation")
-    assert _validation_mrr(params, corpus, judgments) is None
+    assert _validation_mrr(params, corpus, []) is None
     assert full_ranking_mrr(params, corpus, judgments) is None
+
+
+@pytest.mark.parametrize("change", [lambda rows: rows[:-1], lambda rows: rows + [rows[0]]],
+                         ids=["one-short", "one-over"])
+def test_validation_mrr_rejects_misaligned_relevant_rows(change):
+    corpus, params = plain_setup()
+    relevant = list(_relevant_rows(corpus, 0.6, 0.1, corpus.split("validation")))
+    with pytest.raises(ValueError):
+        _validation_mrr(params, corpus, change(relevant))
 
 
 def full_ranking_hard_negatives(params, corpus, pairs, k):
@@ -594,6 +614,26 @@ def test_hard_negatives_equal_full_ranking_reference(setup, include_self, k):
         want = full_ranking_hard_negatives(params, corpus, pairs, k)
         assert all(len(picked) == k for picked in want.values())
         assert _hard_negatives(params, corpus, pairs, k) == want
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("setup", [tied_setup, plain_setup])
+def test_hard_negatives_depth_set_by_query_with_most_positives(setup, k):
+    """One query in the middle of the batch holds its top k + 10 ranked
+    documents as positives, the others one positive each, so its first k
+    non-positives lie past the depth any other query would ask for."""
+    corpus, params = setup()
+    index = build_index(corpus, params, "train")
+    train_recs = corpus.split("train")
+    pairs = {}
+    for j, rec in enumerate(train_recs[:9]):
+        ranked = [doc_id for doc_id, _ in full_ranking(index, params, rec, HARD_POLICY)]
+        docs = ranked[: k + 10] if j == 4 else ranked[:1]
+        pairs[rec.report_id] = [MinedPair(d, r, 0.5, 0.5) for r, d in enumerate(docs, 1)]
+    pairs = PairSet(pairs, MiningConfig())
+    want = full_ranking_hard_negatives(params, corpus, pairs, k)
+    assert all(len(picked) == k for picked in want.values())
+    assert _hard_negatives(params, corpus, pairs, k) == want
 
 
 def saved_checkpoint(tmp_path):

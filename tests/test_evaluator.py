@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from factmine.corpus import synth_corpus
+from factmine.encoder import init_params
 from factmine.errors import MissingResult
 from factmine.evaluator import (
     RelevanceJudgment,
     RetrievalRun,
+    _relevant_rows,
     eval_retrieval,
     judge_relevance,
     mrr,
@@ -13,6 +15,7 @@ from factmine.evaluator import (
     read_run,
     write_run,
 )
+from factmine.index import build_index
 from factmine.metrics import chexbert_instance, factual_similarity
 
 from conftest import entity_graph, make_corpus, make_record
@@ -196,6 +199,22 @@ def test_judge_relevance_equals_reference_filter(seed):
             and chexbert_instance(query.labels, doc.labels) >= 0.6
             and factual_similarity(query.graph, doc.graph) > 0.1
         }
+
+
+@pytest.mark.parametrize("split", ["validation", "test", None], ids=["validation", "test", "all"])
+@pytest.mark.parametrize("thresholds", [(0.0, 0.0), (0.6, 0.1), (1.0, 1.0)],
+                         ids=["0-0", "0.6-0.1", "1-1"])
+def test_relevant_rows_are_judged_ids_as_index_rows(thresholds, split):
+    # 150 records, so the all-record queries span two blocks of the fact index
+    corpus = synth_corpus(3, 150)
+    queries = corpus.records if split is None else corpus.split(split)
+    judged = judge_relevance(corpus, *thresholds, query_split=split).relevant
+    index = build_index(corpus, init_params(0, corpus.d_img, corpus.d_txt, 4), "train")
+    row = {doc_id: i for i, doc_id in enumerate(index.doc_ids)}
+    got = list(_relevant_rows(corpus, *thresholds, queries))
+    assert len(got) == len(queries)
+    for query, rows in zip(queries, got):
+        assert rows.tolist() == sorted(row[doc_id] for doc_id in judged[query.report_id])
 
 
 def test_oracle_dominates_any_run():

@@ -345,23 +345,17 @@ def test_search_matches_naive_scan(problem):
 @settings(max_examples=300, deadline=None)
 @given(search_problems(), st.data())
 def test_rank_of_first_matches_naive_scan(problem, data):
-    index, direct, policy, queries, _, _ = problem
+    index, direct, _, queries, _, _ = problem
     n = len(index.doc_ids)
     scored = mock.patch.object(index_module, "_scores", direct_scores) if direct else contextlib.nullcontext()
     with scored:
         for q, identity in queries:
             [scores] = index_module._scores(index, [q])
             wanted = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-            ranked = naive_rows(index, scores, policy, identity)
-            if not ranked:
-                with pytest.raises(EmptyCandidateSet):
-                    _rank_of_first(index, scores, wanted, policy, identity)
-                with pytest.raises(EmptyCandidateSet):
-                    search(index, q, n, policy, identity)
-                continue
+            ranked = naive_rows(index, scores, NO_FILTER, identity)
             # rows, not ids: an id may repeat across rows with different marks
             want = next((pos for pos, i in enumerate(ranked, 1) if wanted[i]), 0)
-            assert _rank_of_first(index, scores, wanted, policy, identity) == want
+            assert _rank_of_first(index, scores, np.flatnonzero(wanted)) == want
 
 
 def test_search_on_loaded_index_matches_built_index(tmp_path):
