@@ -15,7 +15,7 @@ from factmine import (
     mine_pairs,
     mrr,
     oracle_retrieve,
-    search,
+    search_batch,
     synth_corpus,
     train,
 )
@@ -30,11 +30,16 @@ params, _ = train(
 # Retrieval corpus is always the train split; test queries bring images only.
 index = build_index(corpus, params, "train")
 policy = ExclusionPolicy(exclude_self=False, exclude_same_patient=False, min_report_chars=0)
-results = {}
-for rec in corpus.split("test"):
-    q = encode_query(params, rec.image_features)
-    results[rec.report_id] = search(index, q, 10, policy, (rec.report_id, rec.patient_id))
-run = RetrievalRun(results)
+# One batch call ranks the whole test split, each query as `search` would.
+test = corpus.split("test")
+ranked = search_batch(
+    index,
+    [encode_query(params, rec.image_features) for rec in test],
+    10,
+    policy,
+    [(rec.report_id, rec.patient_id) for rec in test],
+)
+run = RetrievalRun({rec.report_id: hits for rec, hits in zip(test, ranked)})
 
 score = eval_retrieval(run, corpus)
 judgments = judge_relevance(corpus, 0.6, 0.1, query_split="test")

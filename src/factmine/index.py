@@ -97,8 +97,15 @@ def build_index(corpus, params, split="train"):
 # Bytes of index rows one pass of `_scores` keeps in cache while it
 # scores a group of queries against them.
 _BLOCK_BYTES = 1 << 20
-# Bytes of score rows and candidate rows `search_batch` and
-# `_validation_mrr` hold at once; more queries are scored group by group.
+# Bytes of a group's working arrays, 16 a row: its (G, n) score rows and,
+# in `search_batch`, their partitioned copy while the k-th scores are
+# taken (plus a one-byte eligibility mask). `search_batch` and
+# `_validation_mrr` score more queries group by group. A group is selected
+# at once, one partition and one lexsort over all its rows. Single
+# `search` keeps `_top_k` on its candidate rows: on the bench's `train`
+# index (n = 300, e = 64, one BLAS thread) a group of one took 40-52 us a
+# query against 20-24 us (2 shared cores).
+#
 # Smaller groups read the matrix more often, and a search is slower the
 # longer the matrix has gone unread (after a 33 ms busy loop that reads
 # no memory, one took 1.1-1.8 ms longer). Measured on the bench's
@@ -129,7 +136,7 @@ def _blocks(n, e):
 
 
 def _group_size(index):
-    """Queries whose score rows and candidate rows (8 bytes a row each) fit in _GROUP_BYTES."""
+    """Queries whose score rows and their partitioned copy (8 bytes a row each) fit in _GROUP_BYTES."""
     return max(1, _GROUP_BYTES // (16 * max(1, len(index.doc_ids))))
 
 
@@ -236,8 +243,10 @@ def search(index, query_embedding, k, policy, query_identity):
     """
     if k < 1:
         raise InvalidConfig("k must be >= 1")
-    [top] = _search_group(index, _row_arrays(index), [query_embedding], k, policy, [query_identity])
-    return top
+    rows = _row_arrays(index)
+    candidates = _candidates(rows, policy, query_identity)
+    [scores] = _scores(index, [_query(index, query_embedding)])
+    return _top_k(index, rows, scores, candidates, k)
 
 
 def search_batch(index, query_embeddings, k, policy, identities):
@@ -264,13 +273,56 @@ def search_batch(index, query_embeddings, k, policy, identities):
 
 
 def _search_group(index, rows, query_embeddings, k, policy, identities):
-    # A function of its own, so one group's scores are freed before the
-    # next group is scored.
-    candidates, queries = [], []
-    for q, identity in zip(query_embeddings, identities):
-        candidates.append(_candidates(rows, policy, identity))
+    """Each query's `search` result, selected for the whole group at once.
+
+    The group's (G, n) eligibility mask is built and checked query by
+    query (eligibility, then shape) before `_scores` runs. Non-candidates'
+    scores become -inf in place; one partition takes every row's k-th
+    score, and one lexsort on (row, -score, doc_id) orders what is left,
+    so no numpy call runs once per query. The picks and their order are
+    those of `_top_k`, which single `search` keeps (see _GROUP_BYTES).
+    A function of its own, so one group's arrays are freed before the
+    next group is scored.
+    """
+    n = len(index.doc_ids)
+    mask = np.tile(rows.chars >= policy.min_report_chars, (len(identities), 1))
+    if policy.exclude_same_patient:
+        codes = [rows.patient_codes.get(patient_id, -1) for _, patient_id in identities]
+        mask &= rows.patient != np.array(codes, dtype=np.int64)[:, None]
+    if policy.exclude_self:
+        own = [
+            (g, r)
+            for g, (report_id, _) in enumerate(identities)
+            for r in rows.rows_of.get(report_id, ())
+        ]
+        if own:
+            mask[tuple(zip(*own))] = False
+    counts = np.count_nonzero(mask, axis=1)
+    queries = []
+    for count, (report_id, _), q in zip(counts.tolist(), identities, query_embeddings):
+        if not count:
+            raise EmptyCandidateSet(f"no eligible documents for query {report_id!r}")
         queries.append(_query(index, q))
-    return [_top_k(index, rows, s, c, k) for c, s in zip(candidates, _scores(index, queries))]
+    scores = _scores(index, queries)
+    scores[~mask] = -np.inf
+    if k < n:
+        # Keep every candidate tied with its row's k-th largest score, and
+        # all of a row with at most k candidates, NaN scores too, as
+        # `_top_k` does; the exact (-score, doc_id) order below decides
+        # which make the cut.
+        cut = scores >= np.partition(scores, n - k, axis=1)[:, n - k, None]
+        cut[counts <= k] = True
+        mask &= cut
+    group, cols = np.nonzero(mask)
+    picked = scores[group, cols]
+    order = np.lexsort((rows.id_rank[cols], -picked, group))
+    # `group` is ascending, so the sort keeps each query's entries together
+    # and where they start; position minus start is the rank in the query.
+    start = np.searchsorted(group, np.arange(len(identities) + 1))
+    top = order[np.arange(len(order)) - start[group] < k]
+    hits = list(zip(map(index.doc_ids.__getitem__, cols[top].tolist()), picked[top].tolist()))
+    ends = np.cumsum(np.minimum(np.diff(start), k)).tolist()
+    return [hits[lo:hi] for lo, hi in zip([0] + ends, ends)]
 
 
 def _score_rows(index, queries):

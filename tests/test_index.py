@@ -310,7 +310,7 @@ def search_problems(draw):
             levels.map(lambda v: np.array(v, dtype=np.float64)),
             st.tuples(st.sampled_from(doc_ids + ["absent"]), st.sampled_from(["p0", "p1", "p2", "absent"])),
         ),
-        min_size=1, max_size=4,
+        min_size=1, max_size=12,
     ))
     k_kind = draw(st.sampled_from(["one", "eligible", "beyond", "any"]))
     k_any = draw(st.integers(1, n))
@@ -356,6 +356,74 @@ def test_rank_of_first_matches_naive_scan(problem, data):
             # rows, not ids: an id may repeat across rows with different marks
             want = next((pos for pos, i in enumerate(ranked, 1) if wanted[i]), 0)
             assert _rank_of_first(index, scores, np.flatnonzero(wanted)) == want
+
+
+def test_search_batch_over_unequal_groups_matches_search_and_naive_scan():
+    # 20 rows scored with quantised vectors: d00-d03 own two rows each,
+    # patient p0 owns 12 rows, three reports are too short, and many
+    # scores tie.
+    n, k = 20, 5
+    rng = np.random.default_rng(11)
+    matrix = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=(n, 2))
+    doc_ids = [f"d{i // 2:02d}" if i < 8 else f"d{i:02d}" for i in range(n)]
+    patients = ["p0"] * 12 + [f"p{i}" for i in range(1, 9)]
+    chars = [20] * n
+    chars[13] = chars[15] = chars[17] = 2
+    index = EmbeddingIndex(doc_ids, matrix, patients, chars)
+    policy = ExclusionPolicy()
+    queries = list(rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=(11, 2)))
+    # d00 and d01 each own two rows. Patient p0's queries keep the 5 long
+    # rows outside p0, and ("d12", "p0") and ("d14", "p0") only 4 (< k).
+    identities = [
+        ("d00", "p0"), ("d01", "p3"), ("absent", "p0"), ("d12", "p0"), ("d05", "p9"),
+        ("d01", "p1"), ("absent", "absent"), ("d19", "p8"), ("d14", "p0"), ("d00", "p2"),
+        ("d03", "p4"),
+    ]
+    scored = [(index.matrix @ q, i) for q, i in zip(queries, identities)]
+    ranked = [naive_rows(index, scores, policy, i) for scores, i in scored]
+    assert min(map(len, ranked)) < k < max(map(len, ranked))
+    # rows whose k-th and (k+1)-th candidates tie, so doc_id decides the cut
+    assert sum(len(r) > k and s[r[k - 1]] == s[r[k]] for (s, _), r in zip(scored, ranked)) >= 2
+    with mock.patch.object(index_module, "_GROUP_BYTES", 16 * n * 4):
+        step = index_module._group_size(index)
+        assert step == 4 and len(queries) % step  # groups of 4, 4 and 3
+        got = search_batch(index, queries, k, policy, identities)
+    assert [bits(hits) for hits in got] == [
+        bits(search(index, q, k, policy, i)) for q, i in zip(queries, identities)
+    ]
+    assert [bits(hits) for hits in got] == [bits(naive_search(index, s, k, policy, i)) for s, i in scored]
+
+
+def test_search_batch_leaves_queries_and_matrix_unchanged():
+    index = random_index(60, 8, seed=12)
+    index.patient_ids[:] = [f"p{i % 6}" for i in range(60)]
+    index.report_chars[::5] = [1] * 12
+    queries = random_index(9, 8, seed=13).matrix
+    identities = [(index.doc_ids[i], f"p{i % 7}") for i in range(9)]
+    before = queries.copy(), index.matrix.copy()
+    for batch in (queries, list(queries)):
+        search_batch(index, batch, 7, ExclusionPolicy(), identities)
+        assert queries.view(np.int64).tolist() == before[0].view(np.int64).tolist()
+        assert index.matrix.view(np.int64).tolist() == before[1].view(np.int64).tolist()
+
+
+def test_search_batch_equals_search_on_non_finite_scores():
+    # No order is defined among NaN scores, but a batch must still give
+    # what per-query search gives, for rows with fewer and more than k
+    # candidates.
+    matrix = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, -1.0], [-1.0, 0.5], [0.0, 0.0]])
+    index = EmbeddingIndex([f"d{i}" for i in range(6)], matrix, ["p0"] * 3 + ["p1", "p2", "p3"], [9] * 6)
+    policy = ExclusionPolicy()
+    inf, nan = np.inf, np.nan
+    queries = [np.array(q) for q in ([nan, 1.0], [inf, 1.0], [-inf, inf], [nan, nan], [1e308, 1e308])]
+    with np.errstate(invalid="ignore", over="ignore"):
+        for k in range(1, 7):
+            for patient in ("p0", "p9"):  # 3 and 6 candidates
+                identities = [("dx", patient)] * len(queries)
+                got = search_batch(index, queries, k, policy, identities)
+                assert [bits(hits) for hits in got] == [
+                    bits(search(index, q, k, policy, i)) for q, i in zip(queries, identities)
+                ], (k, patient)
 
 
 def test_search_on_loaded_index_matches_built_index(tmp_path):

@@ -1,11 +1,12 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from factmine.corpus import FactGraph
 from factmine.errors import LengthMismatch
 from factmine.metrics import (
+    _lcs_length,
     chexbert_instance,
     chexbert_micro,
     fact_items,
@@ -168,7 +169,7 @@ def test_chexbert_micro_all_negative_returns_zero():
 
 
 def _lcs_oracle(a, b):
-    # independent quadratic table, kept separate from the implementation
+    # the quadratic table, the reference for the bit-parallel implementation
     table = [[0] * (len(b) + 1) for _ in range(len(a) + 1)]
     for i in range(1, len(a) + 1):
         for j in range(1, len(b) + 1):
@@ -220,3 +221,14 @@ def test_rouge_l_matches_lcs_oracle(ref, hyp):
     else:
         p, r = lcs / len(hyp), lcs / len(ref)
         assert math.isclose(score, 2 * p * r / (p + r), abs_tol=1e-12)
+
+
+# Long enough to span several 64-bit words of the bit-parallel masks.
+token_lists = st.lists(st.sampled_from(["a", "b", "c", "d", "e"]), max_size=150)
+
+
+@settings(max_examples=300)
+@given(token_lists, token_lists)
+def test_lcs_length_equals_quadratic_table(a, b):
+    assert _lcs_length(a, b) == _lcs_oracle(a, b)
+    assert _lcs_length(b, a) == _lcs_oracle(a, b)
