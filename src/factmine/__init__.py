@@ -14,8 +14,6 @@ from .corpus import (
 from .encoder import (
     EncoderParams,
     TrainConfig,
-    contrastive_loss,
-    encode_doc,
     encode_query,
     init_params,
     load_params,

@@ -176,6 +176,38 @@ def _id_order(ids):
     return rank, rows_of
 
 
+def _best_first(scores, eligible, rank, k):
+    """Each row's first k eligible columns of a (G, n) block in (-score, rank) order.
+
+    The one block selection: mining, the oracle and `search_batch` all
+    read it. eligible (G, n) is consumed; scores is left as it is. Returns
+    (flat, ends): the picks as positions in scores.ravel(), row by row,
+    row g's at flat[ends[g - 1]:ends[g]] (from 0 for row 0).
+
+    When k < n, every eligible entry tied with its row's k-th largest
+    score is kept, and all of a row with at most k eligible entries,
+    NaN scores too, as `index._top_k` does; one lexsort on (row, -score,
+    rank) then decides which make the cut.
+    """
+    g, n = scores.shape
+    if k < n:
+        kth = np.where(eligible, scores, -np.inf)
+        kth.partition(n - k, axis=1)
+        cut = scores >= kth[:, n - k, None]
+        cut[np.count_nonzero(eligible, axis=1) <= k] = True
+        eligible &= cut
+    flat = np.flatnonzero(eligible)
+    rows = flat // n
+    flat = flat[np.lexsort((rank[flat % n], -scores.ravel()[flat], rows))]
+    start = np.searchsorted(rows, np.arange(g + 1))
+    if k >= n:
+        return flat, start[1:].tolist()
+    # rows is ascending, and so still the row of each sorted pick; a
+    # pick's position minus its row's start is its place in the row.
+    flat = flat[np.arange(len(flat)) - start[rows] < k]
+    return flat, np.cumsum(np.minimum(np.diff(start), k)).tolist()
+
+
 # Every binary label vector, each mapped to itself so that records share it.
 _LABEL_VECTORS = {v: v for v in product((0, 1), repeat=5)}
 _LABEL_TYPES = [int] * 5

@@ -5,6 +5,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import artifacts
+from .corpus import _best_first
 from .errors import EmptyCandidateSet, MalformedArtifact, MissingResult
 from .metrics import chexbert_micro, factual_similarity, rouge_l
 from .mining import MiningConfig, _fact_index, _kept
@@ -132,15 +133,12 @@ def _oracle_picks(corpus, queries):
     index = _fact_index(corpus.split("train"))
     for block in index.blocks(queries):
         agree, rad, others = index.scores(block)
-        if not others.size:
-            yield from [None] * len(block)
-            continue
-        total = np.where(others, agree + rad, -np.inf)
-        best = total == total.max(axis=1, keepdims=True)
-        rows = np.where(best, index.rank, len(index.rank)).argmin(axis=1)
-        scores = total[np.arange(len(block)), rows].tolist()
-        for row, score, found in zip(rows.tolist(), scores, others.any(axis=1).tolist()):
-            yield (index.ids[row], score) if found else None
+        total = agree + rad
+        flat, ends = _best_first(total, others, index.rank, 1)
+        ids = [index.ids[c] for c in (flat % len(index.ids)).tolist()]
+        scores = total.ravel()[flat].tolist()
+        for lo, hi in zip([0] + ends, ends):
+            yield (ids[lo], scores[lo]) if hi > lo else None
 
 
 # --- run file io -----------------------------------------------------------

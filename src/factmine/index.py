@@ -1,15 +1,17 @@
 """Exact top-k cosine retrieval over unit-norm document embeddings."""
 
 import functools
+import math
 import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import artifacts
-from .corpus import _id_order
+from .corpus import _best_first, _id_order
 from .encoder import _encode_docs
 from .errors import (
+    DegenerateEmbedding,
     DimensionMismatch,
     EmptyCandidateSet,
     InvalidConfig,
@@ -98,13 +100,14 @@ def build_index(corpus, params, split="train"):
 # scores a group of queries against them.
 _BLOCK_BYTES = 1 << 20
 # Bytes of a group's working arrays, 16 a row: its (G, n) score rows and,
-# in `search_batch`, their partitioned copy while the k-th scores are
-# taken (plus a one-byte eligibility mask). `search_batch` and
-# `_validation_mrr` score more queries group by group. A group is selected
-# at once, one partition and one lexsort over all its rows. Single
-# `search` keeps `_top_k` on its candidate rows: on the bench's `train`
-# index (n = 300, e = 64, one BLAS thread) a group of one took 40-52 us a
-# query against 20-24 us (2 shared cores).
+# in `search_batch`, `_best_first`'s copy of them with the ineligible
+# entries at -inf, partitioned in place while the k-th scores are taken
+# (plus one-byte masks). `search_batch` and `_validation_mrr` score more
+# queries group by group. A group is selected at once by `_best_first`,
+# one partition and one lexsort over all its rows. Single `search` keeps
+# `_top_k` on its candidate rows: on the bench's `train` index (n = 300,
+# e = 64, one BLAS thread) a group of one took 40-52 us a query against
+# 20-24 us (2 shared cores).
 #
 # Smaller groups read the matrix more often, and a search is slower the
 # longer the matrix has gone unread (after a 33 ms busy loop that reads
@@ -202,6 +205,10 @@ def _query(index, query_embedding):
         raise ValueError(
             f"query embedding has shape {q.shape}, index rows have {index.matrix.shape[1:]}"
         )
+    # q . q is not finite when an entry is not, and costs about a third of
+    # the exact test, which then runs only for such q or an overflow.
+    if not math.isfinite(q.dot(q)) and not np.isfinite(q).all():
+        raise DegenerateEmbedding("query embedding has a non-finite entry")
     return q
 
 
@@ -255,7 +262,7 @@ def search_batch(index, query_embeddings, k, policy, identities):
     Elementwise equal and bit-identical to per-query search, which scores
     through the same blocks, and raises what that loop raises for its
     first failing query: each group's queries are checked in order (k,
-    eligibility, shape) before the group is scored.
+    eligibility, shape, finiteness) before the group is scored.
     """
     if len(query_embeddings) != len(identities):
         raise ValueError("query_embeddings and identities must align")
@@ -263,26 +270,36 @@ def search_batch(index, query_embeddings, k, policy, identities):
         return []
     if k < 1:
         raise InvalidConfig("k must be >= 1")
+    return _search_groups(index, query_embeddings, k, policy, identities, require_candidates=True)
+
+
+def _search_groups(index, query_embeddings, k, policy, identities, require_candidates):
+    """`search_batch`'s results, a group of `_group_size` queries at a time.
+
+    A query with no eligible row raises EmptyCandidateSet when
+    require_candidates, and gets [] otherwise (`build_rag_dataset` falls
+    back to its VQA prompt there).
+    """
     rows = _row_arrays(index)
     step = _group_size(index)
     results = []
     for lo in range(0, len(identities), step):
         group = slice(lo, lo + step)
-        results += _search_group(index, rows, query_embeddings[group], k, policy, identities[group])
+        results += _search_group(
+            index, rows, query_embeddings[group], k, policy, identities[group], require_candidates
+        )
     return results
 
 
-def _search_group(index, rows, query_embeddings, k, policy, identities):
+def _search_group(index, rows, query_embeddings, k, policy, identities, require_candidates):
     """Each query's `search` result, selected for the whole group at once.
 
     The group's (G, n) eligibility mask is built and checked query by
-    query (eligibility, then shape) before `_scores` runs. Non-candidates'
-    scores become -inf in place; one partition takes every row's k-th
-    score, and one lexsort on (row, -score, doc_id) orders what is left,
-    so no numpy call runs once per query. The picks and their order are
-    those of `_top_k`, which single `search` keeps (see _GROUP_BYTES).
-    A function of its own, so one group's arrays are freed before the
-    next group is scored.
+    query (eligibility, then shape and finiteness) before `_scores` runs;
+    then `_best_first` selects every row at once, so no numpy call runs
+    once per query. The picks and their order are those of `_top_k`,
+    which single `search` keeps (see _GROUP_BYTES). A function of its
+    own, so one group's arrays are freed before the next group is scored.
     """
     n = len(index.doc_ids)
     mask = np.tile(rows.chars >= policy.min_report_chars, (len(identities), 1))
@@ -297,31 +314,15 @@ def _search_group(index, rows, query_embeddings, k, policy, identities):
         ]
         if own:
             mask[tuple(zip(*own))] = False
-    counts = np.count_nonzero(mask, axis=1)
     queries = []
-    for count, (report_id, _), q in zip(counts.tolist(), identities, query_embeddings):
-        if not count:
+    for eligible, (report_id, _), q in zip(mask.any(axis=1).tolist(), identities, query_embeddings):
+        if require_candidates and not eligible:
             raise EmptyCandidateSet(f"no eligible documents for query {report_id!r}")
         queries.append(_query(index, q))
     scores = _scores(index, queries)
-    scores[~mask] = -np.inf
-    if k < n:
-        # Keep every candidate tied with its row's k-th largest score, and
-        # all of a row with at most k candidates, NaN scores too, as
-        # `_top_k` does; the exact (-score, doc_id) order below decides
-        # which make the cut.
-        cut = scores >= np.partition(scores, n - k, axis=1)[:, n - k, None]
-        cut[counts <= k] = True
-        mask &= cut
-    group, cols = np.nonzero(mask)
-    picked = scores[group, cols]
-    order = np.lexsort((rows.id_rank[cols], -picked, group))
-    # `group` is ascending, so the sort keeps each query's entries together
-    # and where they start; position minus start is the rank in the query.
-    start = np.searchsorted(group, np.arange(len(identities) + 1))
-    top = order[np.arange(len(order)) - start[group] < k]
-    hits = list(zip(map(index.doc_ids.__getitem__, cols[top].tolist()), picked[top].tolist()))
-    ends = np.cumsum(np.minimum(np.diff(start), k)).tolist()
+    flat, ends = _best_first(scores, mask, rows.id_rank, k)
+    ids = map(index.doc_ids.__getitem__, (flat % n).tolist())
+    hits = list(zip(ids, scores.ravel()[flat].tolist()))
     return [hits[lo:hi] for lo, hi in zip([0] + ends, ends)]
 
 

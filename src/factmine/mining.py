@@ -6,7 +6,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import artifacts
-from .corpus import _id_order
+from .corpus import _best_first, _id_order
 from .errors import EmptyTrainSplit, InvalidConfig, LengthMismatch, MalformedArtifact
 from .metrics import fact_items
 
@@ -191,25 +191,11 @@ def _ranked(index, queries, config, limit=None):
     for block in index.blocks(queries):
         scores = index.scores(block)
         agree, rad, _ = scores
-        kept = _kept(scores, config)
-        if limit is not None and limit < kept.shape[1]:
-            # Each row keeps the candidates at least as close as its
-            # limit-th closest, which is a -1.0 (so all stay) in a row with
-            # fewer; the sort below cuts the ties at the limit.
-            closest = np.where(kept, rad, -1.0)
-            kept &= closest >= np.partition(closest, -limit, axis=1)[:, -limit, None]
-        flat = np.flatnonzero(kept)  # row * n + col, ascending
-        rows, cols = np.divmod(flat, kept.shape[1])
-        ends = np.searchsorted(rows, np.arange(len(block)), side="right").tolist()
-        order = np.lexsort((index.rank[cols], -rad.ravel()[flat], rows))
-        flat, cols = flat[order], cols[order]
-        ids = [index.ids[c] for c in cols.tolist()]
+        flat, ends = _best_first(rad, _kept(scores, config), index.rank, limit or len(index.ids))
+        ids = [index.ids[c] for c in (flat % len(index.ids)).tolist()]
         rads, agrees = rad.ravel()[flat].tolist(), agree.ravel()[flat].tolist()
-        lo = 0
-        for hi in ends:
-            stop = hi if limit is None else min(hi, lo + limit)
-            yield list(zip(ids[lo:stop], rads[lo:stop], agrees[lo:stop]))
-            lo = hi
+        for lo, hi in zip([0] + ends, ends):
+            yield list(zip(ids[lo:hi], rads[lo:hi], agrees[lo:hi]))
 
 
 def candidate_pairs(query, docs, config):

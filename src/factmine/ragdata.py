@@ -5,9 +5,9 @@ from dataclasses import dataclass
 
 from . import artifacts
 from .encoder import encode_query
-from .errors import EmptyCandidateSet, InvalidConfig, MalformedArtifact
+from .errors import InvalidConfig, MalformedArtifact
 from .evaluator import _oracle_picks
-from .index import build_index, search
+from .index import _search_groups, build_index
 
 VQA_TEMPLATE = "Generate a radiology report from this image: <image>"
 RAG_TEMPLATE = (
@@ -44,36 +44,35 @@ def build_rag_dataset(corpus, params, policy, mode):
     """
     if mode not in MODES:
         raise InvalidConfig(f"unknown mode {mode!r}")
-    index = build_index(corpus, params, "train") if mode == "rag" else None
-    picks = list(_oracle_picks(corpus, corpus.records)) if mode == "oracle-rag" else None
-    examples = []
-    warnings = 0
-    for i, rec in enumerate(corpus.records):
-        retrieved_id = None
-        if mode == "rag":
-            q = encode_query(params, rec.image_features)
-            try:
-                ranked = search(index, q, 1, policy, (rec.report_id, rec.patient_id))
-                retrieved_id = ranked[0][0]
-            except EmptyCandidateSet:
-                warnings += 1
-        elif mode == "oracle-rag":
-            if picks[i] is None:
-                warnings += 1
-            else:
-                retrieved_id, _ = picks[i]
-        retrieved_text = None if retrieved_id is None else corpus[retrieved_id].report_text
-        examples.append(
-            RagExample(
-                query_report_id=rec.report_id,
-                image_ref=rec.report_id,  # corpus carries no separate image handle
-                retrieved_doc_id=retrieved_id,
-                prompt_text=_prompt(retrieved_text),
-                target_text=rec.report_text,
-                mode=mode,
-            )
+    records = corpus.records
+    picks = [None] * len(records)
+    if mode == "rag":
+        # One group search, as search_batch runs it, but a query without
+        # candidates gets no hit instead of raising.
+        index = build_index(corpus, params, "train")
+        hits = _search_groups(
+            index,
+            [encode_query(params, rec.image_features) for rec in records],
+            1,
+            policy,
+            [(rec.report_id, rec.patient_id) for rec in records],
+            require_candidates=False,
         )
-    return examples, warnings
+        picks = [top[0][0] if top else None for top in hits]
+    elif mode == "oracle-rag":
+        picks = [None if pick is None else pick[0] for pick in _oracle_picks(corpus, records)]
+    examples = [
+        RagExample(
+            query_report_id=rec.report_id,
+            image_ref=rec.report_id,  # corpus carries no separate image handle
+            retrieved_doc_id=pick,
+            prompt_text=_prompt(None if pick is None else corpus[pick].report_text),
+            target_text=rec.report_text,
+            mode=mode,
+        )
+        for rec, pick in zip(records, picks)
+    ]
+    return examples, 0 if mode == "vqa" else picks.count(None)
 
 
 def write_rag_dataset(examples, path):

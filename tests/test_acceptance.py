@@ -16,7 +16,6 @@ from factmine.corpus import synth_corpus, write_corpus
 from factmine.encoder import (
     TrainConfig,
     _batch_loss,
-    contrastive_loss,
     encode_query,
     init_params,
     train,
@@ -38,6 +37,7 @@ from factmine.metrics import (
 from factmine.mining import MiningConfig, candidate_pairs, mine_pairs
 
 from conftest import entity_graph
+from reference import contrastive_loss
 
 NO_FILTER = ExclusionPolicy(exclude_self=False, exclude_same_patient=False, min_report_chars=0)
 

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import numpy as np
@@ -11,6 +12,7 @@ from factmine.corpus import (
     RELATION_TYPES,
     SPLITS,
     FactGraph,
+    _best_first,
     load_corpus,
     normalize_entity,
     synth_corpus,
@@ -511,3 +513,48 @@ def test_load_corpus_matches_naive_reference(tmp_path_factory, data):
         for key in ("image_features", "text_features"):
             np.testing.assert_array_equal(g.pop(key), w.pop(key))
         assert g == w
+
+
+# --- the one block selection -------------------------------------------------
+
+
+def naive_best_first(scores, eligible, rank, k):
+    """Each row's picks, as positions in scores.ravel(), by a per-row Python sort.
+
+    A row with more than k eligible entries keeps those tied with its k-th
+    largest score, NaN counting as the largest and never kept, then sorts
+    them on (-score, rank) and cuts at k; a row with at most k keeps all
+    of them, NaN last.
+    """
+    n = scores.shape[1]
+    picks = []
+    for g, row in enumerate(scores.tolist()):
+        cols = [c for c in range(n) if eligible[g, c]]
+        if len(cols) > k:
+            kth = sorted((row[c] for c in cols), key=lambda s: (math.isnan(s), s))[-k]
+            cols = [c for c in cols if row[c] >= kth]
+        cols.sort(key=lambda c: (math.isnan(row[c]), 0.0 if math.isnan(row[c]) else -row[c], rank[c]))
+        picks.append([g * n + c for c in cols[:k]])
+    return picks
+
+
+@st.composite
+def selection_problems(draw):
+    g, n = draw(st.integers(1, 6)), draw(st.integers(0, 10))
+    values = st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, np.nan, np.inf, -np.inf])
+    scores = np.array(draw(st.lists(values, min_size=g * n, max_size=g * n))).reshape(g, n)
+    eligible = np.array(draw(st.lists(st.booleans(), min_size=g * n, max_size=g * n)), dtype=bool)
+    eligible = eligible.reshape(g, n)
+    rank = np.array(draw(st.permutations(range(n))), dtype=np.intp)
+    return scores, eligible, rank, draw(st.integers(1, n + 2))
+
+
+@settings(max_examples=500, deadline=None)
+@given(selection_problems())
+def test_best_first_matches_per_row_sort(problem):
+    scores, eligible, rank, k = problem
+    want = naive_best_first(scores, eligible, rank, k)
+    before = scores.tobytes()
+    flat, ends = _best_first(scores, eligible.copy(), rank, k)
+    assert scores.tobytes() == before
+    assert [flat[lo:hi].tolist() for lo, hi in zip([0] + ends, ends)] == want

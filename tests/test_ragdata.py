@@ -1,12 +1,14 @@
 import json
+from unittest import mock
 
 import pytest
 
+import factmine.index as index_module
 from factmine.corpus import synth_corpus
-from factmine.encoder import init_params
+from factmine.encoder import encode_query, init_params
 from factmine.errors import EmptyCandidateSet, MalformedArtifact
 from factmine.evaluator import oracle_retrieve
-from factmine.index import ExclusionPolicy
+from factmine.index import ExclusionPolicy, build_index, search
 from factmine.ragdata import (
     RAG_TEMPLATE,
     VQA_TEMPLATE,
@@ -100,6 +102,34 @@ def test_fully_excluded_query_falls_back_to_vqa():
     assert warnings == 2  # both train queries only see their own patient
     assert all(ex.prompt_text == VQA_TEMPLATE for ex in examples)
     assert all(ex.retrieved_doc_id is None for ex in examples)
+
+
+def test_rag_over_several_groups_equals_per_record_search():
+    # Only patient "a" has reports long enough to retrieve, so its queries
+    # have no candidates, and the other queries only "a"'s long reports.
+    records = [
+        make_record(f"r{i}", split=("train", "validation", "test")[i % 3],
+                    patient_id="a" if i % 4 == 0 else f"p{i}",
+                    report_text="stable cardiac silhouette" if i % 4 == 0 else "ok")
+        for i in range(16)
+    ]
+    corpus = make_corpus(records)
+    params = default_params(corpus)
+    index = build_index(corpus, params, "train")
+    want = []
+    for rec in corpus.records:
+        q = encode_query(params, rec.image_features)
+        try:
+            want.append(search(index, q, 1, POLICY, (rec.report_id, rec.patient_id))[0][0])
+        except EmptyCandidateSet:
+            want.append(None)
+    assert 0 < want.count(None) < len(want)
+    n = len(index.doc_ids)
+    with mock.patch.object(index_module, "_GROUP_BYTES", 16 * n * 3):
+        assert len(records) > 2 * index_module._group_size(index)  # at least 3 groups
+        examples, warnings = build_rag_dataset(corpus, params, POLICY, "rag")
+    assert [ex.retrieved_doc_id for ex in examples] == want
+    assert warnings == want.count(None)
 
 
 def test_target_is_ground_truth_report():
