@@ -178,6 +178,8 @@ def cmd_index(config):
 def cmd_retrieve(config):
     policy = _build(ExclusionPolicy, config)
     k = _cast(config, "k", int)
+    if k < 1:  # search_batch checks k only for a non-empty split
+        raise InvalidConfig("k must be >= 1")
     corpus = load_corpus(config["corpus"])
     params = load_params(config["checkpoint"])
     index = load_index(config["index"])

@@ -3,7 +3,7 @@
 import functools
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +33,12 @@ class ExclusionPolicy:
 
 @dataclass
 class EmbeddingIndex:
-    """Immutable after build; unlimited concurrent readers."""
+    """Immutable after build; unlimited concurrent readers.
+
+    The per-row arrays that exclusion and tie-breaking read are derived
+    from the lists below once, when the index is built, and no search
+    writes to the index. To change a row's metadata, build a new index.
+    """
 
     doc_ids: list
     matrix: np.ndarray  # (n, e), unit-norm rows
@@ -41,34 +46,19 @@ class EmbeddingIndex:
     report_chars: list
     # sha256 of the checkpoint file the rows were encoded with, if known.
     checkpoint_sha256: "str | None" = None
-    # Per-row arrays for vectorised exclusion and tie-breaking, derived from
-    # the lists above on first search.
-    _rows: "_RowArrays | None" = field(default=None, init=False, repr=False, compare=False)
 
-
-@dataclass(frozen=True)
-class _RowArrays:
-    patient_codes: dict  # patient id -> integer code
-    patient: np.ndarray  # int64 patient code per row
-    chars: np.ndarray  # int64 report length per row
-    id_rank: np.ndarray  # each row's rank in ascending doc_id order
-    rows_of: dict  # doc id -> rows carrying it
-
-
-def _row_arrays(index):
-    rows = index._rows
-    if rows is None:
-        n = len(index.doc_ids)
+    def __post_init__(self):
+        # Derived once, for exclusion and tie-breaking. Plain attributes,
+        # not fields, so repr, == and save_index see only the fields above.
+        count = len(self.doc_ids)
         codes = {}
-        patient = np.fromiter(
-            (codes.setdefault(p, len(codes)) for p in index.patient_ids), dtype=np.int64, count=n
+        self._patient_codes = codes  # patient id -> integer code
+        self._patient = np.fromiter(  # int64 patient code per row
+            (codes.setdefault(p, len(codes)) for p in self.patient_ids), dtype=np.int64, count=count
         )
-        id_rank, rows_of = _id_order(index.doc_ids)
-        rows = _RowArrays(
-            codes, patient, np.asarray(index.report_chars, dtype=np.int64), id_rank, rows_of
-        )
-        index._rows = rows
-    return rows
+        self._chars = np.asarray(self.report_chars, dtype=np.int64)  # report length per row
+        # Each row's rank in ascending doc_id order, and doc id -> rows carrying it.
+        self._id_rank, self._rows_of = _id_order(self.doc_ids)
 
 
 def build_index(corpus, params, split="train"):
@@ -179,18 +169,18 @@ def _scores(index, queries):
     return out
 
 
-def _candidates(rows, policy, query_identity):
+def _candidates(index, policy, query_identity):
     """The eligible rows, ascending; raises EmptyCandidateSet when there are none."""
     report_id, patient_id = query_identity
-    mask = rows.chars >= policy.min_report_chars
+    mask = index._chars >= policy.min_report_chars
     if policy.exclude_same_patient:
-        code = rows.patient_codes.get(patient_id)
+        code = index._patient_codes.get(patient_id)
         if code is not None:
-            mask &= rows.patient != code
+            mask &= index._patient != code
     if policy.exclude_self:
         # Skipped when the query is not indexed: even an empty fancy
         # assignment costs 1.7 us, 6% of a search at n = 300.
-        own = rows.rows_of.get(report_id)
+        own = index._rows_of.get(report_id)
         if own:
             mask[own] = False
     candidates = np.flatnonzero(mask)
@@ -212,7 +202,7 @@ def _query(index, query_embedding):
     return q
 
 
-def _top_k(index, rows, scores, candidates, k):
+def _top_k(index, scores, candidates, k):
     """The k best candidate rows by (-score, doc_id), as (doc_id, score) pairs."""
     picked = scores[candidates]
     if k < candidates.size:
@@ -221,7 +211,7 @@ def _top_k(index, rows, scores, candidates, k):
         cut = candidates.size - k
         keep = picked >= np.partition(picked, cut)[cut]
         candidates, picked = candidates[keep], picked[keep]
-    order = np.lexsort((rows.id_rank[candidates], -picked))
+    order = np.lexsort((index._id_rank[candidates], -picked))
     top = candidates[order[:k]].tolist()
     return [(index.doc_ids[i], s) for i, s in zip(top, scores[top].tolist())]
 
@@ -235,7 +225,7 @@ def _rank_of_first(index, scores, rows):
     """
     if rows.size == 0:
         return 0
-    id_rank = _row_arrays(index).id_rank
+    id_rank = index._id_rank
     best = scores[rows].max()
     first = id_rank[rows[scores[rows] == best]].min()
     ahead = (scores > best) | ((scores == best) & (id_rank < first))
@@ -250,10 +240,9 @@ def search(index, query_embedding, k, policy, query_identity):
     """
     if k < 1:
         raise InvalidConfig("k must be >= 1")
-    rows = _row_arrays(index)
-    candidates = _candidates(rows, policy, query_identity)
+    candidates = _candidates(index, policy, query_identity)
     [scores] = _scores(index, [_query(index, query_embedding)])
-    return _top_k(index, rows, scores, candidates, k)
+    return _top_k(index, scores, candidates, k)
 
 
 def search_batch(index, query_embeddings, k, policy, identities):
@@ -280,18 +269,17 @@ def _search_groups(index, query_embeddings, k, policy, identities, require_candi
     require_candidates, and gets [] otherwise (`build_rag_dataset` falls
     back to its VQA prompt there).
     """
-    rows = _row_arrays(index)
     step = _group_size(index)
     results = []
     for lo in range(0, len(identities), step):
         group = slice(lo, lo + step)
         results += _search_group(
-            index, rows, query_embeddings[group], k, policy, identities[group], require_candidates
+            index, query_embeddings[group], k, policy, identities[group], require_candidates
         )
     return results
 
 
-def _search_group(index, rows, query_embeddings, k, policy, identities, require_candidates):
+def _search_group(index, query_embeddings, k, policy, identities, require_candidates):
     """Each query's `search` result, selected for the whole group at once.
 
     The group's (G, n) eligibility mask is built and checked query by
@@ -302,15 +290,15 @@ def _search_group(index, rows, query_embeddings, k, policy, identities, require_
     own, so one group's arrays are freed before the next group is scored.
     """
     n = len(index.doc_ids)
-    mask = np.tile(rows.chars >= policy.min_report_chars, (len(identities), 1))
+    mask = np.tile(index._chars >= policy.min_report_chars, (len(identities), 1))
     if policy.exclude_same_patient:
-        codes = [rows.patient_codes.get(patient_id, -1) for _, patient_id in identities]
-        mask &= rows.patient != np.array(codes, dtype=np.int64)[:, None]
+        codes = [index._patient_codes.get(patient_id, -1) for _, patient_id in identities]
+        mask &= index._patient != np.array(codes, dtype=np.int64)[:, None]
     if policy.exclude_self:
         own = [
             (g, r)
             for g, (report_id, _) in enumerate(identities)
-            for r in rows.rows_of.get(report_id, ())
+            for r in index._rows_of.get(report_id, ())
         ]
         if own:
             mask[tuple(zip(*own))] = False
@@ -320,7 +308,7 @@ def _search_group(index, rows, query_embeddings, k, policy, identities, require_
             raise EmptyCandidateSet(f"no eligible documents for query {report_id!r}")
         queries.append(_query(index, q))
     scores = _scores(index, queries)
-    flat, ends = _best_first(scores, mask, rows.id_rank, k)
+    flat, ends = _best_first(scores, mask, index._id_rank, k)
     ids = map(index.doc_ids.__getitem__, (flat % n).tolist())
     hits = list(zip(ids, scores.ravel()[flat].tolist()))
     return [hits[lo:hi] for lo, hi in zip([0] + ends, ends)]

@@ -362,6 +362,20 @@ def test_bad_option_or_id_is_mapped_error(workdir, capsys, argv, error):
     assert not list(workdir.glob("bad.*"))
 
 
+def test_retrieve_k_zero_is_mapped_error_on_an_empty_query_split(workdir, capsys):
+    run_pipeline()
+    corpus = synth_corpus(7, 60)
+    kept = [rec for rec in corpus.records if rec.split != "test"]
+    write_corpus(Corpus(kept, corpus.d_img, corpus.d_txt), workdir / "notest.jsonl")
+    argv = ["retrieve", "--corpus", "notest.jsonl", "--checkpoint", "enc.ckpt",
+            "--index", "docs.idx", "--run", "bad.tsv"]
+    capsys.readouterr()
+    assert_mapped_error(main([*argv, "--k", "0"]), capsys, "InvalidConfig")
+    assert not list(workdir.glob("bad.*"))
+    assert main([*argv, "--k", "1"]) == 0  # the empty split itself is no error
+    assert read_run(workdir / "bad.tsv").results == {}
+
+
 def test_retrieve_index_of_other_checkpoint_is_mapped_error(workdir, capsys):
     run_pipeline()
     assert main(["train", "--corpus", "corpus.jsonl", "--pairs", "pairs.tsv",

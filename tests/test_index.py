@@ -1,4 +1,6 @@
 import contextlib
+import copy
+import dataclasses
 import json
 from unittest import mock
 
@@ -116,7 +118,8 @@ def test_search_k_beyond_corpus():
 
 def test_search_excludes_self_and_patient_and_short_reports():
     index = random_index(6, 4)
-    index.report_chars[3] = 2
+    chars = [20, 20, 20, 2, 20, 20]  # row 3's report is too short
+    index = EmbeddingIndex(index.doc_ids, index.matrix, index.patient_ids, chars)
     policy = ExclusionPolicy(exclude_self=True, exclude_same_patient=True, min_report_chars=5)
     hits = search(index, index.matrix[0], 99, policy, (index.doc_ids[0], index.patient_ids[1]))
     ids = {d for d, _ in hits}
@@ -171,9 +174,9 @@ def raised(fn):
 @pytest.mark.parametrize("case", ["k-zero", "ineligible-first", "short-first", "misaligned"])
 def test_search_batch_raises_what_the_per_query_loop_raises(case):
     index = random_index(40, 8)
+    index = EmbeddingIndex(index.doc_ids, index.matrix, ["p"] * 40, index.report_chars)
     ok = random_index(1, 8, seed=3).matrix[0]
     policy = ExclusionPolicy(exclude_self=False, exclude_same_patient=True, min_report_chars=0)
-    index.patient_ids[:] = ["p"] * 40
     fine, ineligible = ("q0", "other"), ("q1", "p")  # patient "p" owns every row
     queries, identities, k = {
         "k-zero": ([ok, ok], [fine, fine], 0),
@@ -195,7 +198,7 @@ def test_search_batch_raises_what_the_per_query_loop_raises(case):
 
 def test_non_finite_query_raises_degenerate_embedding():
     index = random_index(4, 4)
-    index.patient_ids[:] = ["p"] * 4
+    index = EmbeddingIndex(index.doc_ids, index.matrix, ["p"] * 4, index.report_chars)
     params = init_params(0, 4, 3, 4)
     ok, fine = index.matrix[0], ("q0", "other")
     for bad in ([np.nan, 1.0, 1.0, 1.0], [np.inf, 1.0, 1.0, 1.0], [0.0, 0.0, 0.0, -np.inf]):
@@ -272,7 +275,7 @@ def test_search_batch_memory_stays_within_the_group_budget():
     index = random_index(4000, 64, seed=7)
     queries = list(random_index(500, 64, seed=8).matrix)
     identities = [(f"q{i}", f"qp{i}") for i in range(500)]
-    search_batch(index, queries[:2], 10, NO_FILTER, identities[:2])  # builds the row arrays
+    search_batch(index, queries[:2], 10, NO_FILTER, identities[:2])  # fills the `_blocks` cache
     batch, peak = traced_peak(search_batch, index, queries, 10, NO_FILTER, identities)
     assert len(batch) == 500
     # all 500 score rows at once would take 16 MB, one group about 1 MB
@@ -290,6 +293,50 @@ def test_index_file_roundtrip(tmp_path):
     assert back.patient_ids == index.patient_ids
     assert back.report_chars == index.report_chars
     np.testing.assert_array_equal(back.matrix, index.matrix)
+
+
+def assert_same_values(got, want):
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        if isinstance(value, np.ndarray):
+            assert got[key].dtype == value.dtype, key
+            np.testing.assert_array_equal(got[key], value)
+        else:
+            assert got[key] == value, key
+
+
+def derived_arrays(index):
+    return {k: v for k, v in vars(index).items() if k.startswith("_")}
+
+
+def test_search_never_writes_to_the_index(tmp_path):
+    n = 30
+    index = random_index(n, 8, seed=14)
+    chars = [2 if i % 4 == 0 else 20 for i in range(n)]
+    index = EmbeddingIndex(index.doc_ids, index.matrix, [f"p{i % 5}" for i in range(n)], chars)
+    before = dict(vars(index))  # keeps every object alive, so no id is reused
+    ids = {k: id(v) for k, v in before.items()}
+    contents = copy.deepcopy(before)
+    queries = list(random_index(9, 8, seed=15).matrix)
+    identities = [(index.doc_ids[i], f"p{i % 7}") for i in range(9)]
+    policy = ExclusionPolicy()
+    search(index, queries[0], 3, policy, identities[0])
+    with mock.patch.object(index_module, "_GROUP_BYTES", 16 * n * 4):
+        assert index_module._group_size(index) == 4  # groups of 4, 4 and 1
+        search_batch(index, queries, 3, policy, identities)
+        # the path build-rag takes, here with no eligible row for any query
+        none_left = ExclusionPolicy(min_report_chars=100)
+        assert index_module._search_groups(
+            index, queries, 3, none_left, identities, require_candidates=False
+        ) == [[]] * 9
+    _rank_of_first(index, index.matrix @ queries[0], np.array([2, 5]))
+    assert {k: id(v) for k, v in vars(index).items()} == ids
+    assert_same_values(before, contents)
+    # a loaded or replaced index derives the same arrays
+    path = tmp_path / "x.idx"
+    save_index(index, path)
+    for other in (load_index(path), dataclasses.replace(index)):
+        assert_same_values(derived_arrays(other), derived_arrays(index))
 
 
 # --- vectorised selection against the naive scan ----------------------------
@@ -431,8 +478,8 @@ def test_search_batch_over_unequal_groups_matches_search_and_naive_scan():
 
 def test_search_batch_leaves_queries_and_matrix_unchanged():
     index = random_index(60, 8, seed=12)
-    index.patient_ids[:] = [f"p{i % 6}" for i in range(60)]
-    index.report_chars[::5] = [1] * 12
+    chars = [1 if i % 5 == 0 else 20 for i in range(60)]
+    index = EmbeddingIndex(index.doc_ids, index.matrix, [f"p{i % 6}" for i in range(60)], chars)
     queries = random_index(9, 8, seed=13).matrix
     identities = [(index.doc_ids[i], f"p{i % 7}") for i in range(9)]
     before = queries.copy(), index.matrix.copy()
