@@ -19,6 +19,7 @@ from .errors import (
     MissingResult,
 )
 from .evaluator import (
+    MRR_THRESHOLDS,
     RetrievalRun,
     _oracle_run,
     eval_retrieval,
@@ -168,7 +169,7 @@ def cmd_train(config):
 def cmd_index(config):
     corpus = load_corpus(config["corpus"])
     params = load_params(config["checkpoint"])
-    index = build_index(corpus, params, config["split"])
+    index = build_index(corpus, params, "train")
     index.checkpoint_sha256 = _sha256(config["checkpoint"])
     save_index(index, config["index"])
     write_provenance(config["index"], "index", config, [config["corpus"], config["checkpoint"]])
@@ -223,21 +224,23 @@ def cmd_eval(config):
     run = read_run(config["run"])
     queries = corpus.split(config["query_split"])
     split_ids = {rec.report_id for rec in queries}
-    for query_id in run.results:
+    train_ids = {rec.report_id for rec in corpus.split("train")}
+    for query_id, ranked in run.results.items():
         if query_id not in split_ids:
             raise MalformedArtifact(
                 config["run"], f"query {query_id!r} is not in the {config['query_split']} split"
             )
+        # Relevance is judged over train documents only.
+        for doc_id, _ in ranked:
+            if doc_id not in train_ids:
+                raise MalformedArtifact(
+                    config["run"], f"query {query_id!r} ranks {doc_id!r}, not a train record"
+                )
     for rec in queries:
         if rec.report_id not in run.results or not run.results[rec.report_id]:
             raise MissingResult(rec.report_id)
     score = eval_retrieval(run, corpus)
-    judgments = judge_relevance(
-        corpus,
-        _cast(config, "eval_chexbert_threshold", float),
-        _cast(config, "eval_radgraph_threshold", float),
-        query_split=config["query_split"],
-    )
+    judgments = judge_relevance(corpus, *MRR_THRESHOLDS, query_split=config["query_split"])
     doc = {
         "f1_chexbert_micro": score.f1_chexbert_micro,
         "f1_radgraph_mean": score.f1_radgraph_mean,
@@ -320,7 +323,7 @@ _COMMANDS = {
             "seed": _REQUIRED,
         },
     ),
-    "index": (cmd_index, {**_required("corpus", "checkpoint", "index"), "split": "train"}),
+    "index": (cmd_index, _required("corpus", "checkpoint", "index")),
     "retrieve": (
         cmd_retrieve,
         {
@@ -330,15 +333,7 @@ _COMMANDS = {
             **_defaults(ExclusionPolicy),
         },
     ),
-    "eval": (
-        cmd_eval,
-        {
-            **_required("corpus", "run", "output"),
-            "query_split": "test",
-            "eval_chexbert_threshold": TrainConfig.val_chexbert_threshold,
-            "eval_radgraph_threshold": TrainConfig.val_radgraph_threshold,
-        },
-    ),
+    "eval": (cmd_eval, {**_required("corpus", "run", "output"), "query_split": "test"}),
     "oracle": (cmd_oracle, {**_required("corpus", "run"), "query_split": "test"}),
     "build-rag": (
         cmd_build_rag,
@@ -371,9 +366,11 @@ def main(argv=None):
         command.add_argument("--config")
         for option in defaults:
             command.add_argument("--" + option.replace("_", "-"), dest=option)
-    args = parser.parse_args(argv)
+    args, unknown = parser.parse_known_args(argv)
     handler, defaults = _COMMANDS[args.command]
     try:
+        if unknown:  # as resolve_config treats an unknown config-file key
+            raise InvalidConfig(f"unknown arguments {unknown}")
         # Overflow and invalid values surface as NonFiniteLoss or
         # DegenerateEmbedding; numpy's warnings would only precede that
         # JSON line on stderr.

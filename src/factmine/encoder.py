@@ -25,12 +25,18 @@ from .errors import (
     NonFiniteLoss,
     NoPositives,
 )
-from .evaluator import _relevant_rows
+from .evaluator import MRR_THRESHOLDS, _relevant_rows
 
 _NORM_FLOOR = 1e-12
 # Rows per block of `_normalize_rows`: at e = 256 a block's squared
 # temporary is 2 MB, however many rows are normalised.
 _NORM_BLOCK_ROWS = 1024
+
+
+def _check_temperature(temperature):
+    # load_params applies the same rule to a checkpoint header.
+    if not 0 < temperature < np.inf:
+        raise InvalidConfig(f"temperature must be positive and finite, got {temperature}")
 
 
 @dataclass
@@ -40,8 +46,7 @@ class EncoderParams:
     temperature: float
 
     def __post_init__(self):
-        if self.temperature <= 0:
-            raise InvalidConfig("temperature must be positive")
+        _check_temperature(self.temperature)
         if self.w_q.shape[1] != self.w_d.shape[1]:
             raise DimensionMismatch("w_q and w_d disagree on embedding dim")
         if self.w_q.shape[1] < 2:
@@ -73,17 +78,16 @@ class TrainConfig:
     early_stop_patience: int = 5
     seed: int = 0
     hard_negative_k: int = 0  # 0 disables the second training stage
-    weight_decay: float = 0.0
-    # Thresholds defining "relevant" for the validation MRR used in early
-    # stopping; mirror the mining filter semantics.
-    val_chexbert_threshold: float = 0.6
-    val_radgraph_threshold: float = 0.1
     embedding_dim: int = 256
     temperature: float = 0.01
 
     def __post_init__(self):
-        if self.learning_rate < 0 or self.weight_decay < 0:
-            raise InvalidConfig("learning_rate and weight_decay must be >= 0")
+        # `factmine train` builds its config, and so checks it, before it reads a file.
+        if not 0 <= self.learning_rate < np.inf:
+            raise InvalidConfig(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
+        _check_temperature(self.temperature)
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
         if self.batch_size < 1 or self.max_epochs < 1 or self.early_stop_patience < 1:
             raise InvalidConfig("batch_size, max_epochs, early_stop_patience must be >= 1")
         if self.hard_negative_k < 0:
@@ -275,9 +279,8 @@ def _run_epochs(params, corpus, rows, config, rng, log, stage, val_relevant):
         for batch in batches:
             loss, g_q, g_d = _batch_loss(params, *batch)
             epoch_loss += loss
-            lr = config.learning_rate
-            params.w_q -= lr * g_q + lr * config.weight_decay * params.w_q
-            params.w_d -= lr * g_d + lr * config.weight_decay * params.w_d
+            params.w_q -= config.learning_rate * g_q
+            params.w_d -= config.learning_rate * g_d
         if not np.isfinite(epoch_loss):
             raise DivergedLoss(f"epoch {epoch} loss is {epoch_loss}")
         val_mrr = _validation_mrr(params, corpus, val_relevant)
@@ -307,14 +310,15 @@ def _run_epochs(params, corpus, rows, config, rng, log, stage, val_relevant):
 
 
 def train(corpus, pairs, config):
-    """Mini-batch gradient descent with decoupled weight decay on mined pairs.
+    """Mini-batch gradient descent on mined pairs.
 
     Each batch takes one softmax over its in-batch documents and a block of
     h hard negatives per query (`_batch_loss`). Stage 1 has h = 0; if
     hard_negative_k > 0, a second stage re-mines the top-k retrieved
     non-positive documents per query and continues training with them in
-    a block of h = k. Early stopping watches validation MRR. Deterministic
-    under a fixed seed.
+    a block of h = k, capped at the n_train - 1 documents a query can have
+    besides itself. Early stopping watches validation MRR, relevance
+    judged by `evaluator.MRR_THRESHOLDS`. Deterministic under a fixed seed.
     """
     rows = {corpus.records[i].report_id: i for i in corpus.rows("train")}
     examples = []
@@ -339,15 +343,12 @@ def train(corpus, pairs, config):
     )
     log = []
     # Relevant train rows per validation query; they never change.
-    val_relevant = list(_relevant_rows(
-        corpus, config.val_chexbert_threshold, config.val_radgraph_threshold,
-        corpus.split("validation"),
-    ))
+    val_relevant = list(_relevant_rows(corpus, *MRR_THRESHOLDS, corpus.split("validation")))
     no_hard = np.empty((len(examples), 0), dtype=np.int64)
     stage_rows = (query_rows, doc_rows, no_hard, no_hard.astype(bool))
     params = _run_epochs(params, corpus, stage_rows, config, rng, log, "in_batch", val_relevant)
-    k = config.hard_negative_k
-    if k > 0:
+    if config.hard_negative_k > 0:
+        k = min(config.hard_negative_k, len(rows) - 1)
         hard = _hard_negatives(params, corpus, pairs, k)
         picked = [hard[corpus.records[i].report_id] for i in query_rows]
         # Each query's picks fill its first slots; the rest are masked out

@@ -10,6 +10,11 @@ from .errors import EmptyCandidateSet, MalformedArtifact, MissingResult
 from .metrics import chexbert_micro, factual_similarity, rouge_l
 from .mining import MiningConfig, _fact_index, _kept
 
+# The (chexbert_threshold, radgraph_threshold) at which MRR judges a train
+# document relevant, for validation early stopping and `factmine eval`
+# alike: label agreement >= 0.6 and graph Dice > 0.1.
+MRR_THRESHOLDS = (0.6, 0.1)
+
 
 @dataclass
 class RetrievalRun:

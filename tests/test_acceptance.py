@@ -239,8 +239,7 @@ def learning_runs():
         pairs = mine_pairs(corpus, MiningConfig(chexbert_threshold=0.6, radgraph_threshold=0.1))
         config = TrainConfig(
             learning_rate=0.05, batch_size=32, max_epochs=6, early_stop_patience=5,
-            seed=seed, val_chexbert_threshold=0.6, val_radgraph_threshold=0.1,
-            embedding_dim=64,
+            seed=seed, embedding_dim=64,
         )
         params, _ = train(corpus, pairs, config)
         baseline = init_params(seed, corpus.d_img, corpus.d_txt, 64)

@@ -104,6 +104,26 @@ def test_eval_run_query_outside_split_is_mapped_error(workdir, capsys):
                  "--output", "test.json"]) == 0
 
 
+@pytest.mark.parametrize("doc", ["test", "unknown"])
+def test_eval_run_doc_outside_train_is_mapped_error(workdir, capsys, doc):
+    run_pipeline()
+    test_id = load_corpus(workdir / "corpus.jsonl").split("test")[0].report_id
+    doc_id = test_id if doc == "test" else "nope"
+    lines = (workdir / "run.tsv").read_text().splitlines()
+    query_id, rank, _, score = lines[2].split("\t")
+    assert rank == "2"
+    lines[2] = "\t".join([query_id, rank, doc_id, score])
+    (workdir / "bad_run.tsv").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = main(["eval", "--corpus", "corpus.jsonl", "--run", "bad_run.tsv",
+                 "--output", "bad.json"])
+    record = assert_mapped_error(code, capsys, "MalformedArtifact")
+    assert record["message"] == (
+        f"bad_run.tsv: query {query_id!r} ranks {doc_id!r}, not a train record"
+    )
+    assert not list(workdir.glob("bad.*"))
+
+
 def test_train_requires_seed(workdir, capsys):
     assert main(["mine", "--corpus", "corpus.jsonl", "--pairs", "pairs.tsv"]) == 0
     code = main(["train", "--corpus", "corpus.jsonl", "--pairs", "pairs.tsv",
@@ -297,11 +317,10 @@ REQUIRED_FLAG_CONFIGS = [
     (["train", "--pairs", "pairs.tsv", "--checkpoint", "enc.ckpt", "--seed", "7"], "enc.ckpt", {
         "corpus": "corpus.jsonl", "pairs": "pairs.tsv", "checkpoint": "enc.ckpt", "log": None,
         "learning_rate": 5e-06, "batch_size": 32, "max_epochs": 15, "early_stop_patience": 5,
-        "seed": 7, "hard_negative_k": 0, "weight_decay": 0.0, "embedding_dim": 256,
-        "temperature": 0.01, "val_chexbert_threshold": 0.6, "val_radgraph_threshold": 0.1,
+        "seed": 7, "hard_negative_k": 0, "embedding_dim": 256, "temperature": 0.01,
     }),
     (["index", "--checkpoint", "enc.ckpt", "--index", "docs.idx"], "docs.idx", {
-        "corpus": "corpus.jsonl", "checkpoint": "enc.ckpt", "index": "docs.idx", "split": "train",
+        "corpus": "corpus.jsonl", "checkpoint": "enc.ckpt", "index": "docs.idx",
     }),
     (["retrieve", "--checkpoint", "enc.ckpt", "--index", "docs.idx", "--run", "run.tsv"],
      "run.tsv", {
@@ -311,7 +330,6 @@ REQUIRED_FLAG_CONFIGS = [
     }),
     (["eval", "--run", "run.tsv", "--output", "eval.json"], "eval.json", {
         "corpus": "corpus.jsonl", "run": "run.tsv", "output": "eval.json", "query_split": "test",
-        "eval_chexbert_threshold": 0.6, "eval_radgraph_threshold": 0.1,
     }),
     (["oracle", "--run", "oracle.tsv"], "oracle.tsv", {
         "corpus": "corpus.jsonl", "run": "oracle.tsv", "query_split": "test",
@@ -331,6 +349,34 @@ def test_sidecar_config_records_defaults(workdir):
     assert json.loads((workdir / "eval.json").read_text())["config"] == REQUIRED_FLAG_CONFIGS[5][2]
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", "--pairs", "pairs.tsv", "--checkpoint", "enc.ckpt", "--seed", "7",
+     "--weight-decay", "0"],
+    ["index", "--checkpoint", "enc.ckpt", "--index", "docs.idx", "--split", "train"],
+    ["eval", "--run", "run.tsv", "--output", "eval.json", "--eval-chexbert-threshold", "0.6"],
+], ids=["train-weight-decay", "index-split", "eval-threshold"])
+def test_unknown_flag_is_mapped_error(workdir, capsys, argv):
+    before = sorted(workdir.iterdir())
+    code = main([argv[0], "--corpus", "corpus.jsonl", *argv[1:]])
+    record = assert_mapped_error(code, capsys, "InvalidConfig")
+    assert argv[-2] in record["message"]
+    assert sorted(workdir.iterdir()) == before
+
+
+def test_hard_negative_k_past_the_train_split_fills_every_other_document(workdir):
+    assert main(["mine", "--corpus", "corpus.jsonl", "--pairs", "pairs.tsv"]) == 0
+    n_train = len(load_corpus(workdir / "corpus.jsonl").split("train"))
+    checkpoints = []
+    for k in (n_train - 1, n_train + 5):
+        checkpoint = f"k{k}.ckpt"
+        assert main(["train", "--corpus", "corpus.jsonl", "--pairs", "pairs.tsv",
+                     "--checkpoint", checkpoint, "--seed", "7", "--learning-rate", "0.05",
+                     "--max-epochs", "1", "--embedding-dim", "16",
+                     "--hard-negative-k", str(k)]) == 0
+        checkpoints.append((workdir / checkpoint).read_bytes())
+    assert checkpoints[0] == checkpoints[1]
+
+
 @pytest.mark.parametrize("argv, error", [
     (["mine", "--pairs", "bad.tsv", "--chexbert-threshold", "2"], "InvalidConfig"),
     (["mine", "--pairs", "bad.tsv", "--top-k", "abc"], "InvalidConfig"),
@@ -342,18 +388,22 @@ def test_sidecar_config_records_defaults(workdir):
     (["build-rag", "--output", "bad.jsonl", "--mode", "bogus"], "InvalidConfig"),
     (["mine", "--pairs", "bad.tsv", "--top-k", "2.9"], "InvalidConfig"),
     (["mine", "--pairs", "bad.tsv", "--include-self", "maybe"], "InvalidConfig"),
-    (["index", "--checkpoint", "enc.ckpt", "--index", "bad.idx", "--split", "tets"],
-     "InvalidConfig"),
     (["retrieve", "--checkpoint", "enc.ckpt", "--index", "docs.idx", "--run", "bad.tsv",
       "--query-split", "tets"], "InvalidConfig"),
     (["oracle", "--run", "bad.tsv", "--query-split", "Test"], "InvalidConfig"),
     (["eval", "--run", "run.tsv", "--output", "bad.json", "--query-split", "tets"],
      "InvalidConfig"),
     (["train", *TEMPERATURE_UNDERFLOW], "NonFiniteLoss"),
+    (["train", "--pairs", "pairs.tsv", "--checkpoint", "bad.ckpt", "--seed", "-1"],
+     "InvalidConfig"),
+    (["train", "--pairs", "pairs.tsv", "--checkpoint", "bad.ckpt", "--seed", "7",
+      "--temperature", "inf"], "InvalidConfig"),
+    (["train", "--pairs", "pairs.tsv", "--checkpoint", "bad.ckpt", "--seed", "7",
+      "--learning-rate", "nan"], "InvalidConfig"),
 ], ids=["threshold-out-of-range", "top-k-not-int", "k-zero", "batch-size-zero", "unknown-id",
-        "unknown-mode", "top-k-not-integral", "include-self-not-bool", "index-split-misspelt",
+        "unknown-mode", "top-k-not-integral", "include-self-not-bool",
         "retrieve-split-misspelt", "oracle-split-misspelt", "eval-split-misspelt",
-        "temperature-underflow"])
+        "temperature-underflow", "seed-negative", "temperature-inf", "learning-rate-nan"])
 def test_bad_option_or_id_is_mapped_error(workdir, capsys, argv, error):
     run_pipeline()
     capsys.readouterr()
