@@ -21,10 +21,10 @@ from .errors import (
 from .evaluator import (
     MRR_THRESHOLDS,
     RetrievalRun,
+    _first_relevant_ranks,
+    _mean_reciprocal_rank,
     _oracle_run,
     eval_retrieval,
-    judge_relevance,
-    mrr,
     read_run,
     write_run,
 )
@@ -240,13 +240,15 @@ def cmd_eval(config):
         if rec.report_id not in run.results or not run.results[rec.report_id]:
             raise MissingResult(rec.report_id)
     score = eval_retrieval(run, corpus)
-    judgments = judge_relevance(corpus, *MRR_THRESHOLDS, query_split=config["query_split"])
+    # `mrr` under judge_relevance's judgments, from one rank a query.
+    ranks = _first_relevant_ranks(corpus, run, queries, *MRR_THRESHOLDS)
+    firsts = [ranks[query_id] for query_id in run.results]
     doc = {
         "f1_chexbert_micro": score.f1_chexbert_micro,
         "f1_radgraph_mean": score.f1_radgraph_mean,
         "rouge_l_mean": score.rouge_l_mean,
-        "mrr": mrr(run, judgments),
-        "mrr_dropped_unjudged": mrr(run, judgments, drop_unjudged=True),
+        "mrr": _mean_reciprocal_rank(firsts, drop_unjudged=False),
+        "mrr_dropped_unjudged": _mean_reciprocal_rank(firsts, drop_unjudged=True),
         "config": config,
         "provenance": run.provenance,
     }

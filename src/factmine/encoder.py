@@ -92,6 +92,8 @@ class TrainConfig:
             raise InvalidConfig("batch_size, max_epochs, early_stop_patience must be >= 1")
         if self.hard_negative_k < 0:
             raise InvalidConfig("hard_negative_k must be >= 0")
+        if self.embedding_dim < 2:  # the rule of EncoderParams
+            raise InvalidConfig(f"embedding_dim must be >= 2, got {self.embedding_dim}")
 
 
 def init_params(

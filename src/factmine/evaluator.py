@@ -96,18 +96,46 @@ def mrr(run, judgments, drop_unjudged=False):
     drop_unjudged, queries whose judgment set is empty are removed from the
     denominator instead (comparison variant for sweep reports).
     """
-    total = 0.0
-    n = 0
+    firsts = []
     for query_id, ranked in run.results.items():
         relevant = judgments.relevant.get(query_id, set())
-        if drop_unjudged and not relevant:
+        rank = next((r for r, (doc_id, _) in enumerate(ranked, start=1) if doc_id in relevant), 0)
+        firsts.append((bool(relevant), rank))
+    return _mean_reciprocal_rank(firsts, drop_unjudged)
+
+
+def _mean_reciprocal_rank(firsts, drop_unjudged):
+    """`mrr` of (judged, rank) pairs in run order: whether a query has any
+    relevant document, and the rank of the first it retrieved (0 for none)."""
+    total = 0.0
+    n = 0
+    for judged, rank in firsts:
+        if drop_unjudged and not judged:
             continue
         n += 1
-        for rank, (doc_id, _) in enumerate(ranked, start=1):
-            if doc_id in relevant:
-                total += 1.0 / rank
-                break
+        if rank:
+            total += 1.0 / rank
     return total / n if n else 0.0
+
+
+def _first_relevant_ranks(corpus, run, queries, chexbert_threshold, radgraph_threshold):
+    """query id -> (judged, rank) for each query record, as `mrr` counts them
+    under judge_relevance's judgments, without holding any query's
+    relevant set beyond its turn: each query's relevant rows come from
+    `_relevant_rows`, and the run's doc ids are looked up as train rows."""
+    train_row = {doc.report_id: row for row, doc in enumerate(corpus.split("train"))}
+    firsts = {}
+    for query, rows in zip(
+        queries, _relevant_rows(corpus, chexbert_threshold, radgraph_threshold, queries)
+    ):
+        relevant = np.zeros(len(train_row), dtype=bool)
+        relevant[rows] = True
+        ranked = run.results.get(query.report_id, ())
+        rank = next(
+            (r for r, (doc_id, _) in enumerate(ranked, start=1) if relevant[train_row[doc_id]]), 0
+        )
+        firsts[query.report_id] = (rows.size > 0, rank)
+    return firsts
 
 
 def oracle_retrieve(corpus, query_id):

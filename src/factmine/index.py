@@ -59,6 +59,10 @@ class EmbeddingIndex:
         self._chars = np.asarray(self.report_chars, dtype=np.int64)  # report length per row
         # Each row's rank in ascending doc_id order, and doc id -> rows carrying it.
         self._id_rank, self._rows_of = _id_order(self.doc_ids)
+        # The largest computed squared row norm, for `_score_error`; one
+        # row-wise product, so no (n, e) temporary is made.
+        squares = np.einsum("ij,ij->i", self.matrix, self.matrix)
+        self._max_square = float(squares.max()) if count else 0.0
 
 
 def build_index(corpus, params, split="train"):
@@ -101,15 +105,31 @@ _BLOCK_BYTES = 1 << 20
 #
 # Smaller groups read the matrix more often, and a search is slower the
 # longer the matrix has gone unread (after a 33 ms busy loop that reads
-# no memory, one took 1.1-1.8 ms longer). Measured on the bench's
-# 12,000 x 256 index, one BLAS thread, alternating in one process: after
-# a batch of 50 queries the next search took 1.40-1.44 ms with groups of
-# 5 (this budget), 1.78-1.87 ms with groups of 10 and 1.29-1.34 ms with
-# one full GEMV per query, while the batches ran at 1,160, 1,230 and 790
-# q/s. Over 1,000 queries, as `factmine retrieve` scores a split,
-# `search_batch` ran at 1,130 q/s with this budget, 1,162 with 2 MiB and
-# 1,301 with 16 MiB.
+# no memory, one took 1.1-1.8 ms longer). Re-measured on the bench's
+# 12,000 x 256 index with this route forced, one BLAS thread, alternating
+# in one process (6 rounds of 200 queries): batches of 50 ran at
+# 1,421-1,488 q/s in groups of 5 (this budget) and 1,545-1,607 in groups
+# of 87 (16 MiB), and the next search took 1.14 and 2.01 ms. That index
+# now takes the filtered route below; this budget serves smaller ones.
 _GROUP_BYTES = 1 << 20
+# n * e from which `search_batch` filters each group with one GEMM and
+# scores again only the rows that can reach the top k (`_filtered_scores`).
+# The measured crossover (one BLAS thread, batches of 50, k = 10, random
+# unit rows): the filtered route ran at 0.37x the q/s of the route above
+# at n = 300, e = 64 (the bench's `train` index), 1.09x at 4,000 x 64,
+# 0.98x at 2,500 x 128, 0.99x at 2,000 x 256 and 1.3-2.1x from 2,500 x 256
+# up. Below it, the GEMV call and the gather each query pays for cost
+# more than the GEMM saves.
+_FILTER_VALUES = 1 << 19
+# Bytes of a filtered group's working arrays, 16 a row as above: its GEMM
+# scores and their partitioned copy (plus one-byte masks). The GEMM gains
+# with the group: on the bench's 12,000 x 256 index batches of 50 ran at
+# 1,465, 2,405, 3,029 and 3,765 q/s (medians of 6) in groups of 5, 10, 43
+# and 87 (1, 2, 8 and 16 MiB), and the next single search took 1.17,
+# 1.14, 1.31 and 1.41 ms, against 1.14 ms after the route above. 1,000
+# queries in one call, as `factmine retrieve` sends a split, ran at
+# 3,322-3,691 q/s in groups of 87 and 1,310-1,482 on the route above.
+_FILTER_GROUP_BYTES = 16 << 20
 
 
 def _block_rows(e):
@@ -128,23 +148,33 @@ def _blocks(n, e):
     return tuple(slice(lo, hi) for lo, hi in zip(bounds, bounds[1:]))
 
 
+def _filters(index):
+    """Whether `search_batch` takes the filtered route: n * e >= _FILTER_VALUES."""
+    return index.matrix.size >= _FILTER_VALUES
+
+
 def _group_size(index):
-    """Queries whose score rows and their partitioned copy (8 bytes a row each) fit in _GROUP_BYTES."""
-    return max(1, _GROUP_BYTES // (16 * max(1, len(index.doc_ids))))
+    """Queries whose working arrays, two (G, n) float64 arrays (16 bytes a
+    row), fit in _GROUP_BYTES, or in _FILTER_GROUP_BYTES when `_filters`."""
+    budget = _FILTER_GROUP_BYTES if _filters(index) else _GROUP_BYTES
+    return max(1, budget // (16 * max(1, len(index.doc_ids))))
 
 
 def _scores(index, queries):
     """(G, n) scores of a group of G query embeddings against every row.
 
-    The one scoring route for `search`, `search_batch` and validation, so
-    they stay bit-identical: BLAS GEMM and GEMV reduce in different orders
-    (numpy 2.4 on OpenBLAS, n = 12,000, e = 256: 0 of the 50 columns of an
-    (n x e) @ (e x 50) GEMM were bit-equal to the per-query GEMVs, max
-    difference 5e-16). So each query still gets GEMVs, not a GEMM, but
-    the matrix is walked in blocks of about _BLOCK_BYTES and every query
-    is scored against a block while it is in cache, so a group reads the
-    matrix once instead of once per query. A single query walks the same
-    blocks, so its scores do not depend on the group it is in.
+    The one source of returned scores for `search`, `search_batch` and
+    validation, so they stay bit-identical: BLAS GEMM and GEMV reduce in
+    different orders (numpy 2.4 on OpenBLAS, the bench's 12,000 x 256
+    index: 0 of the 50 score rows of the (50 x e) @ (e x n) GEMM that
+    `_filtered_scores` filters with were bit-equal to the per-query GEMVs,
+    max difference 1.1e-15, 2% of its band). So each query still gets
+    GEMVs, not a GEMM (`_filtered_scores` gives the same bits to the rows
+    it scores again), but the matrix is walked in blocks of about
+    _BLOCK_BYTES and every query is scored against a block while it is in
+    cache, so a group reads the matrix once instead of once per query. A
+    single query walks the same blocks, so its scores do not depend on the
+    group it is in.
 
     Blocks also keep the scores independent of the BLAS thread count:
     OpenBLAS 0.3.31 splits a GEMV of more than 460,800 values between
@@ -167,6 +197,95 @@ def _scores(index, queries):
         for q, scores in pairs:
             np.matmul(block, q, out=scores[rows])
     return out
+
+
+def _score_error(e, query_squares, max_square):
+    """Per query, a bound B on |computed - exact| for any computed q . d.
+
+    A float64 dot product of length e, summed in any order, is within
+    gamma_e * sum |q_i d_i| of the exact value, plus 2^-1075 for each
+    product that underflows (Higham, Accuracy and Stability of Numerical
+    Algorithms, 3.1), and sum |q_i d_i| <= ||q|| max ||d||. The norms come
+    from computed sums of e squares, so they take the same terms; gamma
+    for e + 1 roundings and the relative margin 2^-20 (for e < 2^30) also
+    cover the roundings of the norms, of B and of t - 4B in
+    `_filtered_scores`. Infinite when a squared norm is not finite, or
+    when ||q|| max ||d|| reaches 2^1023, from where a sum may overflow.
+    """
+    unit = e * 2.0**-1074  # the underflow term, twice over
+    gamma = (e + 1) * 2.0**-53 / (1 - (e + 1) * 2.0**-53)
+    norms = np.sqrt(query_squares + unit) * math.sqrt(max_square + unit)
+    norms[~(norms < 2.0**1023)] = np.inf
+    return gamma * (1 + 2.0**-20) * norms + unit
+
+
+def _aligned_rows(rows, n):
+    """Ascending rows whose product gives each of `rows` (ascending) its `_scores` bits.
+
+    A GEMV sums the rows of its matrix in groups of 4 from the first and
+    the last n % 4 in another order (see `_block_rows`); blocks start at
+    multiples of 64 rows. So each row is re-scored with the group of 4
+    that holds it, and the last n % 4 rows together with the group before
+    them, last, so that they are summed as in `_scores` and never alone.
+    An index of fewer than 4 rows is one group.
+    """
+    if n < 4:
+        return np.arange(n)
+    tail = n % 4
+    last = (n - tail) // 4 - 1  # the group the tail rows join
+    groups = np.minimum(rows // 4, last)
+    first = np.ones(len(groups), dtype=bool)
+    np.not_equal(groups[1:], groups[:-1], out=first[1:])
+    groups = groups[first]
+    aligned = (4 * groups[:, None] + np.arange(4)).ravel()
+    if tail and groups.size and groups[-1] == last:
+        aligned = np.concatenate([aligned, np.arange(n - tail, n)])
+    return aligned
+
+
+def _filtered_scores(index, queries, mask, k):
+    """`_scores` bits for the rows that can reach each query's top k.
+
+    One GEMM scores the group; its scores may differ from `_scores` in
+    the last bits. With B from `_score_error`, a GEMM score and a GEMV
+    score of one row differ by at most 2B. So a row whose GEMM score is
+    below t - 4B, t the query's k-th largest eligible GEMM score, has a
+    `_scores` score below k eligible rows' and cannot be picked. Every
+    other eligible row is scored again, one BLAS GEMV per query over the
+    gathered rows of `_aligned_rows`, in `_blocks` of them, so the scores
+    are bit-equal to `_scores`; GEMM never supplies a returned score.
+
+    Returns (scores, eligible, columns): the group's (G, |U|) block over
+    U, the ascending union `columns` of the rows kept for any query, with
+    eligible True where a row is kept for a query. mask (G, n) is
+    consumed. Returns None, with mask unchanged, when a GEMM score or B
+    is not finite; the group then takes `_scores`.
+    """
+    matrix = index.matrix
+    n, e = matrix.shape
+    stacked = np.stack(queries)
+    approx = stacked @ matrix.T
+    error = _score_error(e, np.einsum("ij,ij->i", stacked, stacked), index._max_square)
+    if not (np.isfinite(error).all() and np.isfinite(approx).all()):
+        return None
+    if k < n:
+        kth = np.where(mask, approx, -np.inf)
+        kth.partition(n - k, axis=1)
+        floor = kth[:, n - k] - 4 * error
+        del kth
+        mask &= approx >= floor[:, None]
+    del approx
+    columns = np.flatnonzero(mask.any(axis=0))
+    eligible = mask[:, columns]
+    scores = np.zeros(eligible.shape)
+    for q, kept, out in zip(stacked, eligible, scores):
+        rows = columns[kept]
+        aligned = _aligned_rows(rows, n)
+        exact = np.empty(len(aligned))
+        for piece in _blocks(len(aligned), e):
+            np.matmul(matrix[aligned[piece]], q, out=exact[piece])
+        out[kept] = exact[np.searchsorted(aligned, rows)]
+    return scores, eligible, columns
 
 
 def _candidates(index, policy, query_identity):
@@ -246,7 +365,8 @@ def search(index, query_embedding, k, policy, query_identity):
 
 
 def search_batch(index, query_embeddings, k, policy, identities):
-    """Per-query `search` over a batch, scored group by group through `_scores`.
+    """Per-query `search` over a batch, scored group by group through `_scores`,
+    or on a large index through `_filtered_scores` (see `_filters`).
 
     Elementwise equal and bit-identical to per-query search, which scores
     through the same blocks, and raises what that loop raises for its
@@ -263,7 +383,8 @@ def search_batch(index, query_embeddings, k, policy, identities):
 
 
 def _search_groups(index, query_embeddings, k, policy, identities, require_candidates):
-    """`search_batch`'s results, a group of `_group_size` queries at a time.
+    """`search_batch`'s results, a group of `_group_size` queries at a time,
+    filtered by `_filtered_scores` when `_filters(index)`.
 
     A query with no eligible row raises EmptyCandidateSet when
     require_candidates, and gets [] otherwise (`build_rag_dataset` falls
@@ -283,11 +404,13 @@ def _search_group(index, query_embeddings, k, policy, identities, require_candid
     """Each query's `search` result, selected for the whole group at once.
 
     The group's (G, n) eligibility mask is built and checked query by
-    query (eligibility, then shape and finiteness) before `_scores` runs;
-    then `_best_first` selects every row at once, so no numpy call runs
-    once per query. The picks and their order are those of `_top_k`,
-    which single `search` keeps (see _GROUP_BYTES). A function of its
-    own, so one group's arrays are freed before the next group is scored.
+    query (eligibility, then shape and finiteness) before any scoring;
+    then `_best_first` selects every row at once, over all n rows of
+    `_scores` or over the compact block of `_filtered_scores`, which holds
+    every row that can be picked, with the same bits. The picks and their
+    order are those of `_top_k`, which single `search` keeps (see
+    _GROUP_BYTES). A function of its own, so one group's arrays are freed
+    before the next group is scored.
     """
     n = len(index.doc_ids)
     mask = np.tile(index._chars >= policy.min_report_chars, (len(identities), 1))
@@ -307,9 +430,16 @@ def _search_group(index, query_embeddings, k, policy, identities, require_candid
         if require_candidates and not eligible:
             raise EmptyCandidateSet(f"no eligible documents for query {report_id!r}")
         queries.append(_query(index, q))
-    scores = _scores(index, queries)
-    flat, ends = _best_first(scores, mask, index._id_rank, k)
-    ids = map(index.doc_ids.__getitem__, (flat % n).tolist())
+    block = _filtered_scores(index, queries, mask, k) if _filters(index) else None
+    if block is None:
+        scores = _scores(index, queries)
+        flat, ends = _best_first(scores, mask, index._id_rank, k)
+        rows = flat % n
+    else:
+        scores, mask, columns = block
+        flat, ends = _best_first(scores, mask, index._id_rank[columns], k)
+        rows = columns[flat % len(columns)]
+    ids = map(index.doc_ids.__getitem__, rows.tolist())
     hits = list(zip(ids, scores.ravel()[flat].tolist()))
     return [hits[lo:hi] for lo, hi in zip([0] + ends, ends)]
 

@@ -9,7 +9,9 @@ import pytest
 from factmine.cli import main, read_config_file
 from factmine.corpus import Corpus, load_corpus, synth_corpus, write_corpus
 from factmine.encoder import EncoderParams, load_params, save_params
-from factmine.evaluator import oracle_retrieve, read_run
+
+from conftest import entity_graph
+from factmine.evaluator import MRR_THRESHOLDS, judge_relevance, mrr, oracle_retrieve, read_run
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -102,6 +104,31 @@ def test_eval_run_query_outside_split_is_mapped_error(workdir, capsys):
     assert not (workdir / "both.json").exists()
     assert main(["eval", "--corpus", "corpus.jsonl", "--run", "test.tsv",
                  "--output", "test.json"]) == 0
+
+
+def test_eval_mrr_is_mrr_of_judge_relevance_bit_for_bit(workdir):
+    corpus = synth_corpus(7, 60)
+    tests = corpus.split("test")
+    for rec in tests[:3]:  # facts no train report shares: empty judgment sets
+        rec.graph = entity_graph(f"only-{rec.report_id}")
+    write_corpus(corpus, workdir / "corpus.jsonl")
+    run_pipeline()
+    corpus = load_corpus(workdir / "corpus.jsonl")
+    run = read_run(workdir / "run.tsv")
+    judgments = judge_relevance(corpus, *MRR_THRESHOLDS, query_split="test")
+    relevant = [judgments.relevant[q] for q in run.results]
+    firsts = [
+        next((r for r, (d, _) in enumerate(ranked, 1) if d in rel), 0)
+        for ranked, rel in zip(run.results.values(), relevant)
+    ]
+    assert relevant.count(set()) >= 3
+    # some queries find a relevant document below rank 1, and some that
+    # have one find none in their top 5
+    assert any(f > 1 for f in firsts) and any(rel and not f for rel, f in zip(relevant, firsts))
+    report = json.loads((workdir / "eval.json").read_text())
+    assert report["mrr"].hex() == mrr(run, judgments).hex()
+    assert report["mrr_dropped_unjudged"].hex() == mrr(run, judgments, drop_unjudged=True).hex()
+    assert report["mrr"] != report["mrr_dropped_unjudged"]
 
 
 @pytest.mark.parametrize("doc", ["test", "unknown"])
@@ -400,10 +427,18 @@ def test_hard_negative_k_past_the_train_split_fills_every_other_document(workdir
       "--temperature", "inf"], "InvalidConfig"),
     (["train", "--pairs", "pairs.tsv", "--checkpoint", "bad.ckpt", "--seed", "7",
       "--learning-rate", "nan"], "InvalidConfig"),
+    (["train", "--pairs", "pairs.tsv", "--checkpoint", "bad.ckpt", "--seed", "7",
+      "--embedding-dim", "-1"], "InvalidConfig"),
+    (["train", "--pairs", "pairs.tsv", "--checkpoint", "bad.ckpt", "--seed", "7",
+      "--embedding-dim", "0"], "InvalidConfig"),
+    # refused before the missing pair file is read
+    (["train", "--pairs", "missing.tsv", "--checkpoint", "bad.ckpt", "--seed", "7",
+      "--embedding-dim", "1"], "InvalidConfig"),
 ], ids=["threshold-out-of-range", "top-k-not-int", "k-zero", "batch-size-zero", "unknown-id",
         "unknown-mode", "top-k-not-integral", "include-self-not-bool",
         "retrieve-split-misspelt", "oracle-split-misspelt", "eval-split-misspelt",
-        "temperature-underflow", "seed-negative", "temperature-inf", "learning-rate-nan"])
+        "temperature-underflow", "seed-negative", "temperature-inf", "learning-rate-nan",
+        "embedding-dim-negative", "embedding-dim-zero", "embedding-dim-one"])
 def test_bad_option_or_id_is_mapped_error(workdir, capsys, argv, error):
     run_pipeline()
     capsys.readouterr()

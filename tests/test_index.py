@@ -37,6 +37,11 @@ from reference import encode_doc
 NO_FILTER = ExclusionPolicy(exclude_self=False, exclude_same_patient=False, min_report_chars=0)
 
 
+def filtered_route():
+    """Sends every `search_batch` group, however small, through `_filtered_scores`."""
+    return mock.patch.object(index_module, "_FILTER_VALUES", 0)
+
+
 def random_index(n, e, seed=0):
     rng = np.random.default_rng(seed)
     matrix = rng.normal(size=(n, e))
@@ -280,6 +285,13 @@ def test_search_batch_memory_stays_within_the_group_budget():
     assert len(batch) == 500
     # all 500 score rows at once would take 16 MB, one group about 1 MB
     assert peak <= index_module._GROUP_BYTES + index.matrix.nbytes
+    # The filtered route, within its own budget: here groups of 262 and 238.
+    with filtered_route():
+        budget = index_module._FILTER_GROUP_BYTES
+        assert len(queries) > index_module._group_size(index) > 1
+        batch, peak = traced_peak(search_batch, index, queries, 10, NO_FILTER, identities)
+    assert len(batch) == 500
+    assert peak <= budget + index.matrix.nbytes
 
 
 def test_index_file_roundtrip(tmp_path):
@@ -375,14 +387,14 @@ def direct_scores(_, queries):
 
 
 @st.composite
-def search_problems(draw):
+def search_problems(draw, directs=st.booleans()):
     n = draw(st.integers(1, 24))
     doc_ids = draw(st.lists(st.sampled_from([f"d{i:02d}" for i in range(30)]), min_size=n, max_size=n))
     patients = draw(st.lists(st.sampled_from(["p0", "p1", "p2"]), min_size=n, max_size=n))
     chars = draw(st.lists(st.integers(0, 8), min_size=n, max_size=n))
     # direct: each query vector *is* the score vector, so signed zeros and
     # exact ties reach the selection unchanged; otherwise a quantised GEMV.
-    direct = draw(st.booleans())
+    direct = draw(directs)
     e = n if direct else draw(st.integers(1, 3))
     levels = st.lists(st.sampled_from(LEVELS), min_size=e, max_size=e)
     matrix = np.array(draw(st.lists(levels, min_size=n, max_size=n)), dtype=np.float64).reshape(n, e)
@@ -438,6 +450,123 @@ def test_rank_of_first_matches_naive_scan(problem, data):
             # rows, not ids: an id may repeat across rows with different marks
             want = next((pos for pos, i in enumerate(ranked, 1) if wanted[i]), 0)
             assert _rank_of_first(index, scores, np.flatnonzero(wanted)) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(search_problems(directs=st.just(False)))
+def test_filtered_search_matches_naive_scan(problem):
+    index, _, policy, queries, k_kind, k_any = problem
+    n = len(index.doc_ids)
+    live = []
+    for q, identity in queries:
+        scores = index.matrix @ q
+        eligible = len(naive_search(index, scores, n, policy, identity))
+        if eligible:
+            live.append((q, identity, scores))
+            k = {"one": 1, "eligible": eligible, "beyond": n + 1, "any": k_any}[k_kind]
+    if live:
+        with filtered_route():
+            got = search_batch(index, [q for q, _, _ in live], k, policy, [i for _, i, _ in live])
+        want = [naive_search(index, s, k, policy, i) for _, i, s in live]
+        assert [bits(hits) for hits in got] == [bits(hits) for hits in want]
+
+
+@pytest.mark.parametrize("e", [1, 3, 17, 64, 256, 300])
+def test_filtered_scores_are_bit_equal_to_scores(e):
+    # Every eligible row is kept at k = n, so each random mask makes
+    # `_filtered_scores` score again a random set of rows; one mask keeps
+    # only the last row and one only the rows after the last group of 4.
+    block = _block_rows(e)
+    rng = np.random.default_rng(e)
+    sizes = [1, 2, 3, 4, 5, 6, 7, 8, 9, 11]
+    sizes += [block - 1, block, block + 1, block + 2, block + 3, 2 * block + 1, 2 * block + 2]
+    for n in sizes:
+        matrix = rng.normal(size=(n, e))
+        index = EmbeddingIndex(["d"] * n, matrix, ["p"] * n, [20] * n)  # one id: quick to build
+        queries = list(rng.normal(size=(4, e)))
+        mask = rng.random((4, n)) < 0.3
+        mask[0] = False
+        mask[0, -1] = True
+        mask[1] = False
+        mask[1, n - n % 4 :] = True
+        want = index_module._scores(index, queries)
+        scores, eligible, columns = index_module._filtered_scores(index, queries, mask.copy(), n)
+        assert (eligible == mask[:, columns]).all() and mask[:, columns].sum() == mask.sum()
+        want = want[:, columns][eligible]
+        assert scores[eligible].view(np.int64).tolist() == want.view(np.int64).tolist(), (e, n)
+
+
+def near_duplicates(n=600, e=64, seed=21):
+    """An index whose rows and queries differ from one unit vector by about
+    1e-14, so all scores lie within a few units in the last place of 1 and
+    GEMM and GEMV order many of them differently."""
+    rng = np.random.default_rng(seed)
+    base = rng.normal(size=e)
+    base /= np.linalg.norm(base)
+    matrix = base + 1e-14 * rng.normal(size=(n, e))
+    index = EmbeddingIndex([f"d{i:05d}" for i in range(n)], matrix, ["p"] * n, [20] * n)
+    queries = list(base + 1e-14 * rng.normal(size=(8, e)))
+    return index, queries, [(f"q{i}", f"qp{i}") for i in range(8)]
+
+
+def test_filtered_search_keeps_the_whole_band_of_near_ties():
+    index, queries, identities = near_duplicates()
+    k = 10
+    with filtered_route():
+        got = search_batch(index, queries, k, NO_FILTER, identities)
+    assert [bits(hits) for hits in got] == [
+        bits(search(index, q, k, NO_FILTER, i)) for q, i in zip(queries, identities)
+    ]
+    mask = np.ones((len(queries), len(index.doc_ids)), dtype=bool)
+    _, eligible, _ = index_module._filtered_scores(index, queries, mask, k)
+    assert eligible.sum(axis=1).min() > 5 * k  # the band holds far more than k rows
+    # GEMM alone would pick other rows for some queries
+    approx = np.stack(queries) @ index.matrix.T
+    assert any(
+        set(np.argsort(-row, kind="stable")[:k]) != {int(d[1:]) for d, _ in hits}
+        for row, hits in zip(approx, got)
+    )
+
+
+def test_filtered_search_with_no_error_bound_picks_wrong_rows():
+    # Shows the tests can see a band that is too small: with B = 0 the
+    # filter drops rows whose GEMV score reaches the top k.
+    index, queries, identities = near_duplicates()
+    want = [bits(search(index, q, 10, NO_FILTER, i)) for q, i in zip(queries, identities)]
+    no_bound = mock.patch.object(index_module, "_score_error", lambda e, squares, _: 0 * squares)
+    with filtered_route(), no_bound:
+        got = search_batch(index, queries, 10, NO_FILTER, identities)
+    assert [bits(hits) for hits in got] != want
+
+
+def test_filtered_route_falls_back_to_scores_on_non_finite_values():
+    inf, nan = np.inf, np.nan
+    matrix = np.array([[1.0, 0.0], [0.0, 1.0], [inf, 1.0], [0.5, -1.0], [nan, 0.5], [0.0, nan]])
+    policy = ExclusionPolicy()
+    finite = random_index(6, 2, seed=3)
+    identities = [("dx", "p9")] * 2
+    cases = [
+        (matrix, [np.array([1.0, 0.0]), np.array([0.0, 1.0])]),  # non-finite rows
+        (finite.matrix, [np.array([1.0, 0.0]), np.full(2, 1e155)]),  # a squared norm overflows
+        # squares of 1e308, but ||q|| max ||d|| = 1e308 >= 2^1023: a sum may overflow
+        (finite.matrix * 1e154, [np.array([1.0, 0.0]), np.array([1e154, 0.0])]),
+    ]
+    for rows, queries in cases:
+        patients = ["p0"] * 3 + ["p1", "p2", "p3"]
+        index = EmbeddingIndex([f"d{i}" for i in range(6)], rows, patients, [9] * 6)
+        mask = np.ones((2, 6), dtype=bool)
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert index_module._filtered_scores(index, queries, mask, 2) is None
+            assert mask.all()
+            for k in (1, 3, 6):
+                with filtered_route(), mock.patch.object(
+                    index_module, "_scores", wraps=index_module._scores
+                ) as scored:
+                    got = search_batch(index, queries, k, policy, identities)
+                assert scored.call_count == 1
+                assert [bits(hits) for hits in got] == [
+                    bits(search(index, q, k, policy, i)) for q, i in zip(queries, identities)
+                ]
 
 
 def test_search_batch_over_unequal_groups_matches_search_and_naive_scan():
