@@ -9,7 +9,7 @@ from factmine import (
     RetrievalRun,
     TrainConfig,
     build_index,
-    encode_query,
+    encode_queries,
     init_params,
     judge_relevance,
     mine_pairs,
@@ -45,7 +45,7 @@ def validation_mrr(params):
     queries = corpus.split("validation")
     ranked = search_batch(
         index,
-        [encode_query(params, rec.image_features) for rec in queries],
+        encode_queries(params, corpus.inputs[corpus.rows("validation"), : corpus.d_img]),
         len(index.doc_ids),
         ExclusionPolicy(exclude_self=False, exclude_same_patient=False, min_report_chars=0),
         [(rec.report_id, rec.patient_id) for rec in queries],

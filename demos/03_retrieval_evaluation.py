@@ -9,7 +9,7 @@ from factmine import (
     RetrievalRun,
     TrainConfig,
     build_index,
-    encode_query,
+    encode_queries,
     eval_retrieval,
     judge_relevance,
     mine_pairs,
@@ -30,11 +30,12 @@ params, _ = train(
 # Retrieval corpus is always the train split; test queries bring images only.
 index = build_index(corpus, params, "train")
 policy = ExclusionPolicy(exclude_self=False, exclude_same_patient=False, min_report_chars=0)
-# One batch call ranks the whole test split, each query as `search` would.
+# One call encodes the whole test split and one batch call ranks it, each
+# query as `encode_query` and `search` would.
 test = corpus.split("test")
 ranked = search_batch(
     index,
-    [encode_query(params, rec.image_features) for rec in test],
+    encode_queries(params, corpus.inputs[corpus.rows("test"), : corpus.d_img]),
     10,
     policy,
     [(rec.report_id, rec.patient_id) for rec in test],

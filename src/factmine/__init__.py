@@ -14,6 +14,7 @@ from .corpus import (
 from .encoder import (
     EncoderParams,
     TrainConfig,
+    encode_queries,
     encode_query,
     init_params,
     load_params,

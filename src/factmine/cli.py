@@ -9,7 +9,7 @@ import numpy as np
 
 from . import __version__, artifacts
 from .corpus import load_corpus
-from .encoder import TrainConfig, encode_query, load_params, save_params, train, write_training_log
+from .encoder import TrainConfig, encode_queries, load_params, save_params, train, write_training_log
 from .errors import (
     CheckpointMismatch,
     DimensionMismatch,
@@ -198,7 +198,7 @@ def cmd_retrieve(config):
     queries = corpus.split(config["query_split"])
     ranked = search_batch(
         index,
-        [encode_query(params, rec.image_features) for rec in queries],
+        encode_queries(params, corpus.inputs[corpus.rows(config["query_split"]), : corpus.d_img]),
         k,
         policy,
         [(rec.report_id, rec.patient_id) for rec in queries],
@@ -241,8 +241,7 @@ def cmd_eval(config):
             raise MissingResult(rec.report_id)
     score = eval_retrieval(run, corpus)
     # `mrr` under judge_relevance's judgments, from one rank a query.
-    ranks = _first_relevant_ranks(corpus, run, queries, *MRR_THRESHOLDS)
-    firsts = [ranks[query_id] for query_id in run.results]
+    firsts = _first_relevant_ranks(corpus, run, queries, *MRR_THRESHOLDS)
     doc = {
         "f1_chexbert_micro": score.f1_chexbert_micro,
         "f1_radgraph_mean": score.f1_radgraph_mean,

@@ -25,7 +25,7 @@ from .errors import (
     NonFiniteLoss,
     NoPositives,
 )
-from .evaluator import MRR_THRESHOLDS, _relevant_rows
+from .evaluator import MRR_THRESHOLDS, _mean_reciprocal_rank, _relevant_rows
 
 _NORM_FLOOR = 1e-12
 # Rows per block of `_normalize_rows`: at e = 256 a block's squared
@@ -118,18 +118,11 @@ def _check_norms(norms):
         raise DegenerateEmbedding(f"projection norm {bad[0]} outside [{_NORM_FLOOR}, inf)")
 
 
-def _normalize(u):
-    norm = np.linalg.norm(u)
-    _check_norms(norm)
-    return u / norm, norm
-
-
 def _normalize_rows(u):
-    # Row-wise `_normalize` for training and document encoding; divides the
-    # fresh projection u in place. encode_query keeps the per-vector one.
-    # The norms are taken a block of rows at a time, so no temporary spans
-    # all of u; each row is still reduced alone, so they are bit-equal to
-    # one np.linalg.norm over u.
+    # Divides the fresh projection u in place, row by row, for query,
+    # training and document encoding. The norms are taken a block of rows
+    # at a time, so no temporary spans all of u; each row is still reduced
+    # alone, bit-equal to one np.linalg.norm over u and to the row alone.
     rows = u.reshape(-1, u.shape[-1])
     norms = np.empty((len(rows), 1))
     for start in range(0, len(rows), _NORM_BLOCK_ROWS):
@@ -141,13 +134,26 @@ def _normalize_rows(u):
     return u, norms
 
 
+def encode_queries(params, image_features):
+    """Unit-norm embeddings of the rows of an (m, d_img) array of query image features.
+
+    A row gets the same bits alone as in any batch, at any place: `einsum`
+    without `optimize` never calls BLAS and reduces each row on its own,
+    where BLAS `X @ w_q` does not. The first degenerate row raises.
+    """
+    x = np.asarray(image_features, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != params.d_img:
+        raise DimensionMismatch(f"image features have shape {x.shape}, expected (m, {params.d_img})")
+    e, _ = _normalize_rows(np.einsum("ij,jk->ik", x, params.w_q))
+    return e
+
+
 def encode_query(params, image_features):
-    """Unit-norm embedding of a query's image features."""
+    """Unit-norm embedding of a query's image features: `encode_queries` of a batch of one."""
     x = np.asarray(image_features, dtype=np.float64)
     if x.shape != (params.d_img,):
         raise DimensionMismatch(f"image features have shape {x.shape}, expected ({params.d_img},)")
-    e, _ = _normalize(params.w_q.T @ x)
-    return e
+    return encode_queries(params, x[None, :])[0]
 
 
 def _encode_docs(params, z):
@@ -222,30 +228,28 @@ def _validation_mrr(params, corpus, relevant):
 
     relevant holds each validation query's relevant train rows, in
     `corpus.split("validation")` order (`evaluator._relevant_rows`); a
-    list of another length raises ValueError.
-    Equals `evaluator.mrr` over full `search` rankings, float for float:
-    each query's first relevant rank is counted by `_rank_of_first`
-    instead of ranking every document, and the reciprocals are summed in
-    the same order. The queries are scored together, a group that fits
-    the index's score budget per `_scores` call.
+    list of another length raises ValueError. Equals `evaluator.mrr` over
+    full `search` rankings, float for float: each query's first relevant
+    rank is counted by `_rank_of_first` instead of ranking every document,
+    and both means are `_mean_reciprocal_rank`. The queries are scored
+    together, a group that fits the index's score budget per `_scores` call.
     """
     from .index import _rank_of_first, _score_rows, build_index
 
-    val = corpus.split("validation")
-    if not val:
+    rows = corpus.rows("validation")
+    if not rows.size:
         return None
     index = build_index(corpus, params, "train")
-    queries = [encode_query(params, rec.image_features) for rec in val]
-    total = 0.0
-    for scores, rows in zip(_score_rows(index, queries), relevant, strict=True):
-        rank = _rank_of_first(index, scores, rows)
-        if rank:
-            total += 1.0 / rank
-    return total / len(val)
+    queries = encode_queries(params, corpus.inputs[rows, : corpus.d_img])
+    firsts = [
+        (own.size > 0, _rank_of_first(index, scores, own))
+        for scores, own in zip(_score_rows(index, queries), relevant, strict=True)
+    ]
+    return _mean_reciprocal_rank(firsts, drop_unjudged=False)
 
 
-def _hard_negatives(params, corpus, pairs, k):
-    """Top-k retrieved non-positive train documents per query."""
+def _hard_negatives(params, corpus, pairs, k, rows):
+    """Top-k retrieved non-positive train documents per query; rows: train id -> corpus row."""
     from .index import ExclusionPolicy, build_index, search_batch
 
     index = build_index(corpus, params, "train")
@@ -256,7 +260,7 @@ def _hard_negatives(params, corpus, pairs, k):
     # are a prefix of the full ranking holding its first k non-positives.
     ranked = search_batch(
         index,
-        [encode_query(params, rec.image_features) for rec in queries],
+        encode_queries(params, corpus.inputs[[rows[q] for q in pairs.pairs], : corpus.d_img]),
         k + max(map(len, positives), default=0),
         policy,
         [(rec.report_id, rec.patient_id) for rec in queries],
@@ -351,7 +355,7 @@ def train(corpus, pairs, config):
     params = _run_epochs(params, corpus, stage_rows, config, rng, log, "in_batch", val_relevant)
     if config.hard_negative_k > 0:
         k = min(config.hard_negative_k, len(rows) - 1)
-        hard = _hard_negatives(params, corpus, pairs, k)
+        hard = _hard_negatives(params, corpus, pairs, k, rows)
         picked = [hard[corpus.records[i].report_id] for i in query_rows]
         # Each query's picks fill its first slots; the rest are masked out
         # and hold its positive, so every slot normalizes.

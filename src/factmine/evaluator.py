@@ -1,5 +1,6 @@
 """Retrieval evaluation: rank-1 factual scoring, MRR, and oracle retrieval."""
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,26 +106,21 @@ def mrr(run, judgments, drop_unjudged=False):
 
 
 def _mean_reciprocal_rank(firsts, drop_unjudged):
-    """`mrr` of (judged, rank) pairs in run order: whether a query has any
-    relevant document, and the rank of the first it retrieved (0 for none)."""
-    total = 0.0
-    n = 0
-    for judged, rank in firsts:
-        if drop_unjudged and not judged:
-            continue
-        n += 1
-        if rank:
-            total += 1.0 / rank
-    return total / n if n else 0.0
+    """`mrr` of (judged, rank) pairs: whether a query has any relevant
+    document, and the rank of the first it retrieved (0 for none). The
+    reciprocals are summed exactly (`math.fsum`), so the mean does not
+    depend on the order of the pairs."""
+    kept = [rank for judged, rank in firsts if judged or not drop_unjudged]
+    return math.fsum(1.0 / rank for rank in kept if rank) / len(kept) if kept else 0.0
 
 
 def _first_relevant_ranks(corpus, run, queries, chexbert_threshold, radgraph_threshold):
-    """query id -> (judged, rank) for each query record, as `mrr` counts them
+    """(judged, rank) of each query record in turn, as `mrr` counts them
     under judge_relevance's judgments, without holding any query's
     relevant set beyond its turn: each query's relevant rows come from
     `_relevant_rows`, and the run's doc ids are looked up as train rows."""
     train_row = {doc.report_id: row for row, doc in enumerate(corpus.split("train"))}
-    firsts = {}
+    firsts = []
     for query, rows in zip(
         queries, _relevant_rows(corpus, chexbert_threshold, radgraph_threshold, queries)
     ):
@@ -134,7 +130,7 @@ def _first_relevant_ranks(corpus, run, queries, chexbert_threshold, radgraph_thr
         rank = next(
             (r for r, (doc_id, _) in enumerate(ranked, start=1) if relevant[train_row[doc_id]]), 0
         )
-        firsts[query.report_id] = (rows.size > 0, rank)
+        firsts.append((rows.size > 0, rank))
     return firsts
 
 

@@ -4,7 +4,7 @@ import json
 from dataclasses import dataclass
 
 from . import artifacts
-from .encoder import encode_query
+from .encoder import encode_queries
 from .errors import InvalidConfig, MalformedArtifact
 from .evaluator import _oracle_picks
 from .index import _search_groups, build_index
@@ -52,7 +52,7 @@ def build_rag_dataset(corpus, params, policy, mode):
         index = build_index(corpus, params, "train")
         hits = _search_groups(
             index,
-            [encode_query(params, rec.image_features) for rec in records],
+            encode_queries(params, corpus.inputs[:, : corpus.d_img]),
             1,
             policy,
             [(rec.report_id, rec.patient_id) for rec in records],

@@ -2,12 +2,13 @@
 
 `encode_doc` is the one-row case of `encoder._encode_docs`, which
 `build_index` uses, and `contrastive_loss` is the per-query form of
-`encoder._batch_loss`, the one training path.
+`encoder._batch_loss`, the one training path, with its own per-vector
+normalisation.
 """
 
 import numpy as np
 
-from factmine.encoder import _encode_docs, _normalize
+from factmine.encoder import _encode_docs
 from factmine.errors import DimensionMismatch, MissingTextFeatures, NonFiniteLoss, NoPositives
 
 
@@ -25,6 +26,12 @@ def encode_doc(params, image_features, text_features):
             f"features have shapes {x.shape}/{t.shape}, expected ({params.d_img},)/({params.d_txt},)"
         )
     return _encode_docs(params, np.concatenate([x, t])[None, :])[0]
+
+
+def _normalize(u):
+    """One vector over its L2 norm, and the norm."""
+    norm = np.linalg.norm(u)
+    return u / norm, norm
 
 
 def _doc_input(doc):

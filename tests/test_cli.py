@@ -8,10 +8,11 @@ import pytest
 
 from factmine.cli import main, read_config_file
 from factmine.corpus import Corpus, load_corpus, synth_corpus, write_corpus
-from factmine.encoder import EncoderParams, load_params, save_params
+from factmine.encoder import EncoderParams, encode_query, load_params, save_params
 
 from conftest import entity_graph
 from factmine.evaluator import MRR_THRESHOLDS, judge_relevance, mrr, oracle_retrieve, read_run
+from factmine.index import ExclusionPolicy, load_index, search
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -312,6 +313,34 @@ def test_retrieve_index_of_other_dimension_is_mapped_error(workdir, capsys):
                  "--index", "other.idx"]) == 0
     capsys.readouterr()
     assert_mapped_error(retrieve("other.idx"), capsys, "DimensionMismatch")
+
+
+@pytest.mark.parametrize("argv", [
+    ["retrieve", "--index", "docs.idx", "--run", "narrow.out"],
+    ["build-rag", "--mode", "rag", "--output", "narrow.out"],
+], ids=["retrieve", "build-rag"])
+def test_corpus_of_other_image_dimension_is_mapped_error(workdir, capsys, argv):
+    run_pipeline()  # a checkpoint and an index with d_img 32
+    write_corpus(synth_corpus(7, 60, d_img=16), workdir / "narrow.jsonl")
+    capsys.readouterr()
+    code = main([*argv, "--corpus", "narrow.jsonl", "--checkpoint", "enc.ckpt"])
+    assert_mapped_error(code, capsys, "DimensionMismatch")
+    assert not list(workdir.glob("narrow.out*"))
+
+
+def test_retrieve_run_equals_per_query_search_bit_for_bit(workdir):
+    run_pipeline()
+    corpus = load_corpus(workdir / "corpus.jsonl")
+    params = load_params(workdir / "enc.ckpt")
+    index = load_index(workdir / "docs.idx")
+    policy = ExclusionPolicy(min_report_chars=0)  # as run_pipeline retrieves
+    want = {
+        rec.report_id: search(index, encode_query(params, rec.image_features), 5, policy,
+                              (rec.report_id, rec.patient_id))
+        for rec in corpus.split("test")
+    }
+    bits = lambda results: {q: [(d, s.hex()) for d, s in hits] for q, hits in results.items()}
+    assert bits(read_run(workdir / "run.tsv").results) == bits(want)
 
 
 def test_index_truncated_checkpoint_is_mapped_error(workdir, capsys):

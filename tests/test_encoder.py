@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from factmine.corpus import Corpus, synth_corpus
 from factmine.encoder import (
@@ -14,6 +15,7 @@ from factmine.encoder import (
     _hard_negatives,
     _normalize_rows,
     _validation_mrr,
+    encode_queries,
     encode_query,
     init_params,
     load_params,
@@ -103,6 +105,56 @@ def test_encode_query_overflowing_projection_is_degenerate():
     params = EncoderParams(p.w_q * 1e300, p.w_d * 1e300, p.temperature)
     with pytest.raises(DegenerateEmbedding, match="inf"):
         encode_query(params, np.random.default_rng(2).normal(size=6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 40),
+    e=st.integers(2, 70),  # EncoderParams refuses an embedding dim below 2
+    m=st.integers(1, 70),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_encode_queries_rows_equal_encode_query_alone(d, e, m, seed):
+    """Every row's bits are those of encode_query of that row alone,
+    whatever its place in the batch, and from a contiguous or strided array."""
+    rng = np.random.default_rng(seed)
+    params = EncoderParams(rng.normal(size=(d, e)), rng.normal(size=(d + 3, e)), 1.0)
+    wide = rng.normal(size=(2 * m, d + 5)) * rng.uniform(1e-3, 1e3, size=(2 * m, 1))
+    alone = np.array([encode_query(params, row) for row in wide[:, :d]])
+    order = rng.permutation(2 * m)
+    for rows, x in [
+        (np.arange(2 * m), np.ascontiguousarray(wide[:, :d])),
+        (np.arange(2 * m), wide[:, :d]),  # strided, as corpus.inputs[:, :d_img]
+        (np.arange(0, 2 * m, 2), wide[::2, :d]),
+        (order, wide[order, :d]),
+        (order[:1], wide[order[:1], :d]),
+    ]:
+        assert encode_queries(params, x).tobytes() == alone[rows].tobytes()
+
+
+def test_encode_queries_of_a_split_equal_encode_query_at_the_bench_shape():
+    """1,500 strided rows at (d, e) = (32, 64), past one `_normalize_rows` block."""
+    corpus = synth_corpus(0, 1500)
+    params = init_params(0, corpus.d_img, corpus.d_txt, 64)
+    got = encode_queries(params, corpus.inputs[:, : corpus.d_img])
+    want = np.array([encode_query(params, rec.image_features) for rec in corpus.records])
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(6,), (3, 5), (3, 7), (2, 3, 6), ()])
+def test_encode_queries_wrong_shape(shape):
+    with pytest.raises(DimensionMismatch, match="expected"):
+        encode_queries(init_params(0, 6, 4, 8), np.zeros(shape))
+
+
+def test_encode_queries_of_no_rows():
+    assert encode_queries(init_params(0, 6, 4, 8), np.zeros((0, 6))).shape == (0, 8)
+
+
+def test_encode_queries_names_the_first_degenerate_row():
+    rows = np.array([[3.0, 4.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0], [np.inf, 1.0, 0.0, 0.0]])
+    with np.errstate(invalid="ignore"), pytest.raises(DegenerateEmbedding, match="norm 0.0 "):
+        encode_queries(axis_params(d_img=4), rows)
 
 
 def test_encode_doc_unit_norm():
@@ -429,6 +481,29 @@ def test_train_deterministic_under_seed():
     assert strip(log_a) == strip(log_b)
 
 
+def test_train_does_not_depend_on_corpus_order(tmp_path):
+    """A corpus and a shuffled copy of it train to the same checkpoint and
+    log: validation MRR sums its reciprocals exactly, in whatever order the
+    validation queries come."""
+    corpus = synth_corpus(1, 300)
+    records = synth_corpus(1, 300).records
+    np.random.default_rng(1).shuffle(records)
+    shuffled = Corpus(records, corpus.d_img, corpus.d_txt)
+    pairs = mine_pairs(corpus, MiningConfig(chexbert_threshold=0.6, radgraph_threshold=0.1))
+    config = TrainConfig(
+        learning_rate=0.05, max_epochs=6, seed=1, embedding_dim=64, hard_negative_k=4
+    )
+    saved, logs = [], []
+    for name, c in [("one", corpus), ("two", shuffled)]:
+        params, log = train(c, pairs, config)
+        save_params(params, tmp_path / name, seed=1)
+        saved.append((tmp_path / name).read_bytes())
+        logs.append([{k: v for k, v in entry.items() if k != "wall_ms"} for entry in log])
+    assert [entry["stage"] for entry in logs[0]].count("hard_negative") == 6
+    assert saved[0] == saved[1]
+    assert logs[0] == logs[1]
+
+
 def test_train_improves_validation_mrr():
     corpus, pairs = small_training_setup(seed=11, n=140)
     config = TrainConfig(learning_rate=0.05, max_epochs=5, seed=11, embedding_dim=32)
@@ -580,6 +655,11 @@ def test_validation_mrr_rejects_misaligned_relevant_rows(change):
         _validation_mrr(params, corpus, change(relevant))
 
 
+def train_rows(corpus):
+    """The train id -> corpus row map that `train` passes `_hard_negatives`."""
+    return {corpus.records[i].report_id: i for i in corpus.rows("train")}
+
+
 def full_ranking_hard_negatives(params, corpus, pairs, k):
     index = build_index(corpus, params, "train")
     out = {}
@@ -613,7 +693,7 @@ def test_hard_negatives_equal_full_ranking_reference(setup, include_self, k):
     for pairs in (top_ranked_pairs(params, corpus, include_self), mined):
         want = full_ranking_hard_negatives(params, corpus, pairs, k)
         assert all(len(picked) == k for picked in want.values())
-        assert _hard_negatives(params, corpus, pairs, k) == want
+        assert _hard_negatives(params, corpus, pairs, k, train_rows(corpus)) == want
 
 
 @pytest.mark.parametrize("k", [1, 3])
@@ -633,7 +713,7 @@ def test_hard_negatives_depth_set_by_query_with_most_positives(setup, k):
     pairs = PairSet(pairs, MiningConfig())
     want = full_ranking_hard_negatives(params, corpus, pairs, k)
     assert all(len(picked) == k for picked in want.values())
-    assert _hard_negatives(params, corpus, pairs, k) == want
+    assert _hard_negatives(params, corpus, pairs, k, train_rows(corpus)) == want
 
 
 def saved_checkpoint(tmp_path):

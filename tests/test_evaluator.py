@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from factmine.errors import MissingResult
 from factmine.evaluator import (
     RelevanceJudgment,
     RetrievalRun,
+    _mean_reciprocal_rank,
     _relevant_rows,
     eval_retrieval,
     judge_relevance,
@@ -253,3 +256,17 @@ def test_run_file_roundtrip(tmp_path):
         after.f1_radgraph_mean,
         after.rouge_l_mean,
     )
+
+
+def test_mean_reciprocal_rank_is_the_rounded_exact_mean_in_any_order():
+    ranks = [3, 7, 1, 0, 11, 6, 9, 13, 2, 0, 17, 3, 5, 19]
+    firsts = [(rank > 0 or i % 3 == 0, rank) for i, rank in enumerate(ranks)]
+    for drop_unjudged in (False, True):
+        kept = [rank for judged, rank in firsts if judged or not drop_unjudged]
+        want = float(sum(Fraction(1.0 / rank) for rank in kept if rank)) / len(kept)
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            order = rng.permutation(len(firsts))
+            got = _mean_reciprocal_rank([firsts[i] for i in order], drop_unjudged)
+            assert got.hex() == want.hex()
+    assert _mean_reciprocal_rank([(False, 0)], drop_unjudged=True) == 0.0
