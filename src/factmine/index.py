@@ -63,6 +63,16 @@ class EmbeddingIndex:
         # row-wise product, so no (n, e) temporary is made.
         squares = np.einsum("ij,ij->i", self.matrix, self.matrix)
         self._max_square = float(squares.max()) if count else 0.0
+        # matrix.T rounded to float32, C-contiguous, for the filter GEMM of
+        # `_filtered_scores`. Filled block by block: on the bench's 12,000 x
+        # 256 index one strided copy took 18 ms, blocks of `_blocks` 7 ms.
+        # Entries beyond float32's range become inf, so their scores are
+        # not finite and the group falls back to `_scores`.
+        n, e = self.matrix.shape
+        self._matrix32 = np.empty((e, n), dtype=np.float32)
+        with np.errstate(over="ignore"):
+            for rows in _blocks(n, e):
+                self._matrix32[:, rows] = self.matrix[rows].T
 
 
 def build_index(corpus, params, split="train"):
@@ -112,23 +122,30 @@ _BLOCK_BYTES = 1 << 20
 # of 87 (16 MiB), and the next search took 1.14 and 2.01 ms. That index
 # now takes the filtered route below; this budget serves smaller ones.
 _GROUP_BYTES = 1 << 20
-# n * e from which `search_batch` filters each group with one GEMM and
-# scores again only the rows that can reach the top k (`_filtered_scores`).
-# The measured crossover (one BLAS thread, batches of 50, k = 10, random
-# unit rows): the filtered route ran at 0.37x the q/s of the route above
-# at n = 300, e = 64 (the bench's `train` index), 1.09x at 4,000 x 64,
-# 0.98x at 2,500 x 128, 0.99x at 2,000 x 256 and 1.3-2.1x from 2,500 x 256
-# up. Below it, the GEMV call and the gather each query pays for cost
-# more than the GEMM saves.
+# n * e from which `search_batch` filters each group with one float32 GEMM
+# and scores again only the rows that can reach the top k
+# (`_filtered_scores`). The measured crossover (one BLAS thread, batches of
+# 50, k = 10, random unit rows), as the filtered route's q/s over the
+# route above (medians of 7 rounds, ranges over repeated runs): 0.39-0.42x
+# at n = 300, e = 64 (the bench's `train` index), 0.79-0.87x at 2,000 x
+# 64, 1.15-1.32x at 4,000 x 64, 0.60-0.72x at 1,000 x 128, 0.99-1.25x at
+# 2,500 x 128, 0.83-1.07x at 1,000 x 256, 1.12-1.45x at 1,500 x 256,
+# 1.28-1.92x at 2^19 values (2,000 x 256, 8,000 x 64) and 1.8-3.5x from
+# 2,500 x 256 up. Near 2^18 values it read 1.25x at 4,200 x 64, 1.13x at
+# 2,100 x 128 and 0.85-0.88x at 1,100 x 256, so the crossover stays
+# between 2^18 and 2^19. Below it, the GEMV call and the gather each query
+# pays for cost more than the GEMM saves.
 _FILTER_VALUES = 1 << 19
-# Bytes of a filtered group's working arrays, 16 a row as above: its GEMM
-# scores and their partitioned copy (plus one-byte masks). The GEMM gains
-# with the group: on the bench's 12,000 x 256 index batches of 50 ran at
-# 1,465, 2,405, 3,029 and 3,765 q/s (medians of 6) in groups of 5, 10, 43
-# and 87 (1, 2, 8 and 16 MiB), and the next single search took 1.17,
-# 1.14, 1.31 and 1.41 ms, against 1.14 ms after the route above. 1,000
-# queries in one call, as `factmine retrieve` sends a split, ran at
-# 3,322-3,691 q/s in groups of 87 and 1,310-1,482 on the route above.
+# Bytes of a filtered group's working arrays, 16 a row as above: a group
+# whose GEMM scores are not finite falls back to `_scores` and holds what
+# the route above holds. The filter itself holds 8 a row (its float32
+# GEMM scores and their partitioned copy, plus one-byte masks; 9.2 a row
+# under tracemalloc). The GEMM gains with the group up to this budget: on
+# the bench's 12,000 x 256 index batches of 50 ran at 2,382, 3,888, 5,398
+# and 6,755 q/s (medians of 24) in groups of 5, 10, 43 and 87 (1, 2, 8
+# and 16 MiB), and 1,000 queries in one call, as `factmine retrieve` sends
+# a split, at 5,660, 6,500, 5,731 and 4,850 q/s in groups of 43, 87, 139
+# and 200, and at 1,339-1,359 on the route above.
 _FILTER_GROUP_BYTES = 16 << 20
 
 
@@ -154,8 +171,9 @@ def _filters(index):
 
 
 def _group_size(index):
-    """Queries whose working arrays, two (G, n) float64 arrays (16 bytes a
-    row), fit in _GROUP_BYTES, or in _FILTER_GROUP_BYTES when `_filters`."""
+    """Queries whose working arrays, at most two (G, n) float64 arrays (16
+    bytes a row), fit in _GROUP_BYTES, or in _FILTER_GROUP_BYTES when
+    `_filters`: a filtered group holds 8 a row, 16 when it falls back."""
     budget = _FILTER_GROUP_BYTES if _filters(index) else _GROUP_BYTES
     return max(1, budget // (16 * max(1, len(index.doc_ids))))
 
@@ -166,15 +184,14 @@ def _scores(index, queries):
     The one source of returned scores for `search`, `search_batch` and
     validation, so they stay bit-identical: BLAS GEMM and GEMV reduce in
     different orders (numpy 2.4 on OpenBLAS, the bench's 12,000 x 256
-    index: 0 of the 50 score rows of the (50 x e) @ (e x n) GEMM that
-    `_filtered_scores` filters with were bit-equal to the per-query GEMVs,
-    max difference 1.1e-15, 2% of its band). So each query still gets
-    GEMVs, not a GEMM (`_filtered_scores` gives the same bits to the rows
-    it scores again), but the matrix is walked in blocks of about
-    _BLOCK_BYTES and every query is scored against a block while it is in
-    cache, so a group reads the matrix once instead of once per query. A
-    single query walks the same blocks, so its scores do not depend on the
-    group it is in.
+    index: 0 of the 50 score rows of a float64 (50 x e) @ (e x n) GEMM
+    were bit-equal to the per-query GEMVs, max difference 1.1e-15). So
+    each query still gets GEMVs, not a GEMM (`_filtered_scores` gives the
+    same bits to the rows it scores again), but the matrix is walked in
+    blocks of about _BLOCK_BYTES and every query is scored against a
+    block while it is in cache, so a group reads the matrix once instead
+    of once per query. A single query walks the same blocks, so its
+    scores do not depend on the group it is in.
 
     Blocks also keep the scores independent of the BLAS thread count:
     OpenBLAS 0.3.31 splits a GEMV of more than 460,800 values between
@@ -199,24 +216,50 @@ def _scores(index, queries):
     return out
 
 
-def _score_error(e, query_squares, max_square):
-    """Per query, a bound B on |computed - exact| for any computed q . d.
+def _dot_error(dtype, e, query_squares, max_square):
+    """Per query, a bound on |computed - exact| for q . d computed in dtype.
 
-    A float64 dot product of length e, summed in any order, is within
-    gamma_e * sum |q_i d_i| of the exact value, plus 2^-1075 for each
-    product that underflows (Higham, Accuracy and Stability of Numerical
-    Algorithms, 3.1), and sum |q_i d_i| <= ||q|| max ||d||. The norms come
-    from computed sums of e squares, so they take the same terms; gamma
-    for e + 1 roundings and the relative margin 2^-20 (for e < 2^30) also
-    cover the roundings of the norms, of B and of t - 4B in
-    `_filtered_scores`. Infinite when a squared norm is not finite, or
-    when ||q|| max ||d|| reaches 2^1023, from where a sum may overflow.
+    q and d are float64 vectors of length e, rounded to dtype (exactly,
+    for float64), then multiplied and summed in any order, with or
+    without fused multiply-adds. With u the unit roundoff and tiny half
+    the smallest subnormal of dtype, each rounding of an entry or of an
+    operation has a relative error of at most u, or an absolute error of
+    at most tiny where it underflows. So the computed value is within
+    gamma_(e+2) sum |q_i d_i| of the exact one (two roundings of the
+    inputs and at most e along any path of the sum; Higham, Accuracy and
+    Stability of Numerical Algorithms, 3.1), plus (1 + u)(1 + gamma_e)
+    tiny (||q||_1 + ||d||_1) for the entries that underflow and (1 +
+    gamma_e) e (tiny + tiny^2) for the operations that underflow and the
+    products of two entry errors. Here sum |q_i d_i| <= ||q|| max ||d||,
+    ||x||_1 <= sqrt(e) ||x||, and each factor (1 + ...) is below 2 for
+    e < 2^20. The norms come from computed float64 sums of e squares,
+    plus e 2^-1074 for their underflows; the margin of `_score_error`
+    covers their roundings. Infinite when a norm is not finite, or from
+    ||q|| max ||d|| = max / 4 of dtype on, from where a sum may overflow.
     """
-    unit = e * 2.0**-1074  # the underflow term, twice over
-    gamma = (e + 1) * 2.0**-53 / (1 - (e + 1) * 2.0**-53)
-    norms = np.sqrt(query_squares + unit) * math.sqrt(max_square + unit)
-    norms[~(norms < 2.0**1023)] = np.inf
-    return gamma * (1 + 2.0**-20) * norms + unit
+    info = np.finfo(dtype)
+    u, tiny = float(info.eps) / 2, float(info.smallest_subnormal) / 2
+    unit = e * 2.0**-1074
+    query_norms = np.sqrt(query_squares + unit)
+    max_norm = math.sqrt(max_square + unit)
+    gamma = (e + 2) * u / (1 - (e + 2) * u)
+    bound = gamma * query_norms * max_norm
+    bound += 2 * tiny * (math.sqrt(e) * (query_norms + max_norm) + 2 * e)
+    bound[~(query_norms * max_norm < float(info.max) / 4)] = np.inf
+    return bound
+
+
+def _score_error(e, query_squares, max_square):
+    """Per query, a bound E on |filter score - `_scores` score| of any row.
+
+    The filter GEMM of `_filtered_scores` computes q . d in float32 and
+    `_scores` in float64, so E is the sum of the two `_dot_error` bounds.
+    The relative margin 2^-20 covers the float64 roundings of the norms,
+    of E and of t - 2E: each is below 2^-20 of the float32 term.
+    """
+    float32 = _dot_error(np.float32, e, query_squares, max_square)
+    float64 = _dot_error(np.float64, e, query_squares, max_square)
+    return (1 + 2.0**-20) * (float32 + float64)
 
 
 def _aligned_rows(rows, n):
@@ -246,32 +289,37 @@ def _aligned_rows(rows, n):
 def _filtered_scores(index, queries, mask, k):
     """`_scores` bits for the rows that can reach each query's top k.
 
-    One GEMM scores the group; its scores may differ from `_scores` in
-    the last bits. With B from `_score_error`, a GEMM score and a GEMV
-    score of one row differ by at most 2B. So a row whose GEMM score is
-    below t - 4B, t the query's k-th largest eligible GEMM score, has a
-    `_scores` score below k eligible rows' and cannot be picked. Every
-    other eligible row is scored again, one BLAS GEMV per query over the
+    One float32 GEMM of the rounded queries and `_matrix32` scores the
+    group; with E from `_score_error`, its score and the `_scores` score
+    of one row differ by at most E. So a row whose GEMM score is below
+    t - 2E, t the query's k-th largest eligible GEMM score, has a
+    `_scores` score below k eligible rows' and cannot be picked; the
+    floor t - 2E and the comparison with it are float64. Every other
+    eligible row is scored again, one BLAS GEMV per query over the
     gathered rows of `_aligned_rows`, in `_blocks` of them, so the scores
-    are bit-equal to `_scores`; GEMM never supplies a returned score.
+    are bit-equal to `_scores`; GEMM never supplies a returned score
+    (Johnson, Douze and Jegou, Billion-scale similarity search with GPUs,
+    2019, filter coarsely and re-rank exactly in the same way).
 
     Returns (scores, eligible, columns): the group's (G, |U|) block over
     U, the ascending union `columns` of the rows kept for any query, with
     eligible True where a row is kept for a query. mask (G, n) is
-    consumed. Returns None, with mask unchanged, when a GEMM score or B
-    is not finite; the group then takes `_scores`.
+    consumed. Returns None, with mask unchanged, when a GEMM score or E
+    is not finite (an entry beyond float32's range among them); the group
+    then takes `_scores`.
     """
     matrix = index.matrix
     n, e = matrix.shape
     stacked = np.stack(queries)
-    approx = stacked @ matrix.T
     error = _score_error(e, np.einsum("ij,ij->i", stacked, stacked), index._max_square)
+    with np.errstate(over="ignore", invalid="ignore"):
+        approx = stacked.astype(np.float32) @ index._matrix32
     if not (np.isfinite(error).all() and np.isfinite(approx).all()):
         return None
     if k < n:
         kth = np.where(mask, approx, -np.inf)
         kth.partition(n - k, axis=1)
-        floor = kth[:, n - k] - 4 * error
+        floor = kth[:, n - k].astype(np.float64) - 2 * error
         del kth
         mask &= approx >= floor[:, None]
     del approx

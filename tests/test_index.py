@@ -2,6 +2,7 @@ import contextlib
 import copy
 import dataclasses
 import json
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -496,21 +497,28 @@ def test_filtered_scores_are_bit_equal_to_scores(e):
         assert scores[eligible].view(np.int64).tolist() == want.view(np.int64).tolist(), (e, n)
 
 
-def near_duplicates(n=600, e=64, seed=21):
+def near_duplicates(spread=1e-14, n=600, e=64, seed=21):
     """An index whose rows and queries differ from one unit vector by about
-    1e-14, so all scores lie within a few units in the last place of 1 and
-    GEMM and GEMV order many of them differently."""
+    spread, so all scores lie within a few multiples of spread of 1. At
+    1e-14 GEMM and GEMV order many of them differently in the last bits,
+    and the float32 filter rounds every row to the same vector; at 1e-9,
+    about float32's resolution, the filter orders them at random."""
     rng = np.random.default_rng(seed)
     base = rng.normal(size=e)
     base /= np.linalg.norm(base)
-    matrix = base + 1e-14 * rng.normal(size=(n, e))
+    matrix = base + spread * rng.normal(size=(n, e))
     index = EmbeddingIndex([f"d{i:05d}" for i in range(n)], matrix, ["p"] * n, [20] * n)
-    queries = list(base + 1e-14 * rng.normal(size=(8, e)))
+    queries = list(base + spread * rng.normal(size=(8, e)))
     return index, queries, [(f"q{i}", f"qp{i}") for i in range(8)]
 
 
-def test_filtered_search_keeps_the_whole_band_of_near_ties():
-    index, queries, identities = near_duplicates()
+def filter_gemm(index, queries):
+    """The (G, n) float32 scores `_filtered_scores` filters with."""
+    return np.stack(queries).astype(np.float32) @ index._matrix32
+
+
+def assert_band_keeps_near_ties(spread):
+    index, queries, identities = near_duplicates(spread)
     k = 10
     with filtered_route():
         got = search_batch(index, queries, k, NO_FILTER, identities)
@@ -520,18 +528,26 @@ def test_filtered_search_keeps_the_whole_band_of_near_ties():
     mask = np.ones((len(queries), len(index.doc_ids)), dtype=bool)
     _, eligible, _ = index_module._filtered_scores(index, queries, mask, k)
     assert eligible.sum(axis=1).min() > 5 * k  # the band holds far more than k rows
-    # GEMM alone would pick other rows for some queries
-    approx = np.stack(queries) @ index.matrix.T
+    # the filter's GEMM alone would pick other rows for some queries
     assert any(
         set(np.argsort(-row, kind="stable")[:k]) != {int(d[1:]) for d, _ in hits}
-        for row, hits in zip(approx, got)
+        for row, hits in zip(filter_gemm(index, queries), got)
     )
 
 
+def test_filtered_search_keeps_the_whole_band_of_near_ties():
+    assert_band_keeps_near_ties(1e-14)
+
+
+def test_filtered_search_keeps_the_whole_band_of_near_ties_at_float32_resolution():
+    assert_band_keeps_near_ties(1e-9)
+
+
 def test_filtered_search_with_no_error_bound_picks_wrong_rows():
-    # Shows the tests can see a band that is too small: with B = 0 the
-    # filter drops rows whose GEMV score reaches the top k.
-    index, queries, identities = near_duplicates()
+    # Shows the tests can see a band that is too small: with E = 0 the
+    # filter drops rows whose GEMV score reaches the top k. At spread
+    # 1e-14 the float32 scores of all rows tie, so even E = 0 keeps them.
+    index, queries, identities = near_duplicates(1e-9)
     want = [bits(search(index, q, 10, NO_FILTER, i)) for q, i in zip(queries, identities)]
     no_bound = mock.patch.object(index_module, "_score_error", lambda e, squares, _: 0 * squares)
     with filtered_route(), no_bound:
@@ -539,17 +555,70 @@ def test_filtered_search_with_no_error_bound_picks_wrong_rows():
     assert [bits(hits) for hits in got] != want
 
 
+def exact_dot(q, d):
+    return sum(Fraction(a) * Fraction(b) for a, b in zip(q.tolist(), d.tolist()))
+
+
+@pytest.mark.parametrize("e", [1, 3, 17, 64, 256, 300])
+def test_float32_filter_error_is_within_its_bound(e):
+    # |float32 GEMM - exact q . d| <= `_dot_error` for float32, the exact
+    # value a Fraction sum over the float64 entries. The query scales put
+    # the float32 entries or products in the subnormal range or at zero
+    # (1e-46 rounds to 0), at 1, and near float32's maximum (1e37; the
+    # norm product stays below its max / 4).
+    rng = np.random.default_rng(e)
+    n = 12
+    matrix = rng.normal(size=(n, e))
+    matrix[: n // 3] *= 10.0 ** rng.uniform(-45, -30, size=(n // 3, e))  # subnormal entries
+    matrix /= np.linalg.norm(matrix, axis=1, keepdims=True)
+    index = EmbeddingIndex(["d"] * n, matrix, ["p"] * n, [20] * n)
+    directions = rng.normal(size=(3, e))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    scales = [1e-46, 1e-42, 1e-40, 1e-38, 1e-35, 1e-30, 1.0, 1e37]
+    queries = [s * q for s in scales for q in directions]
+    squares = np.einsum("ij,ij->i", np.stack(queries), np.stack(queries))
+    bound = index_module._dot_error(np.float32, e, squares, index._max_square)
+    assert np.isfinite(bound).all()
+    approx = filter_gemm(index, queries)
+    assert np.isfinite(approx).all()
+    for q, row, limit in zip(queries, approx.tolist(), bound.tolist()):
+        for d, score in zip(matrix, row):
+            assert abs(Fraction(score) - exact_dot(q, d)) <= Fraction(limit), (e, score)
+
+
+@pytest.mark.parametrize("e", [3, 256])
+def test_float32_copy_is_the_rounded_transpose(e):
+    block = _block_rows(e)
+    for n in (0, 1, 2, block - 1, block + 1, 2 * block + 1):
+        matrix = np.random.default_rng(n).normal(size=(n, e))
+        if n:
+            matrix[-1, 0] = 1e39  # beyond float32's range
+        index = EmbeddingIndex(["d"] * n, matrix, ["p"] * n, [20] * n)
+        with np.errstate(over="ignore"):
+            want = np.ascontiguousarray(matrix.T, dtype=np.float32)
+        assert index._matrix32.flags.c_contiguous and index._matrix32.dtype == np.float32
+        assert index._matrix32.view(np.int32).tolist() == want.view(np.int32).tolist(), n
+
+
 def test_filtered_route_falls_back_to_scores_on_non_finite_values():
     inf, nan = np.inf, np.nan
     matrix = np.array([[1.0, 0.0], [0.0, 1.0], [inf, 1.0], [0.5, -1.0], [nan, 0.5], [0.0, nan]])
     policy = ExclusionPolicy()
     finite = random_index(6, 2, seed=3)
+    beyond = finite.matrix.copy()
+    beyond[2] = [1e39, -1e39]  # finite, beyond float32's range
     identities = [("dx", "p9")] * 2
     cases = [
         (matrix, [np.array([1.0, 0.0]), np.array([0.0, 1.0])]),  # non-finite rows
         (finite.matrix, [np.array([1.0, 0.0]), np.full(2, 1e155)]),  # a squared norm overflows
         # squares of 1e308, but ||q|| max ||d|| = 1e308 >= 2^1023: a sum may overflow
         (finite.matrix * 1e154, [np.array([1.0, 0.0]), np.array([1e154, 0.0])]),
+        (finite.matrix, [np.array([1.0, 0.0]), np.array([1e39, 1.0])]),  # a query beyond float32's range
+        (beyond, [np.array([1.0, 0.0]), np.array([0.0, 1.0])]),  # a row beyond float32's range
+        # float32 scores of at most 1e38, but ||q|| max ||d|| = 1e38 >= float32's max / 4
+        (finite.matrix, [np.array([1.0, 0.0]), np.array([1e38, 0.0])]),
+        # ||q|| max ||d|| = 1e9, but the query's float32 entry is inf
+        (finite.matrix * 1e-30, [np.array([1.0, 0.0]), np.array([1e39, 0.0])]),
     ]
     for rows, queries in cases:
         patients = ["p0"] * 3 + ["p1", "p2", "p3"]
