@@ -63,12 +63,15 @@ class EmbeddingIndex:
         # row-wise product, so no (n, e) temporary is made.
         squares = np.einsum("ij,ij->i", self.matrix, self.matrix)
         self._max_square = float(squares.max()) if count else 0.0
+        # The last n % 4 rows with the rows `_padded` puts before them, which
+        # `_scores` scores again; none when n % 4 == 0.
+        n, e = self.matrix.shape
+        self._tail = self.matrix[_padded(np.arange(n))[-4:] if n % 4 else []]
         # matrix.T rounded to float32, C-contiguous, for the filter GEMM of
         # `_filtered_scores`. Filled block by block: on the bench's 12,000 x
         # 256 index one strided copy took 18 ms, blocks of `_blocks` 7 ms.
         # Entries beyond float32's range become inf, so their scores are
         # not finite and the group falls back to `_scores`.
-        n, e = self.matrix.shape
         self._matrix32 = np.empty((e, n), dtype=np.float32)
         with np.errstate(over="ignore"):
             for rows in _blocks(n, e):
@@ -150,19 +153,32 @@ _FILTER_GROUP_BYTES = 16 << 20
 
 
 def _block_rows(e):
-    # A multiple of 64 rows, so every block starts where the full product's
-    # BLAS kernel starts a group of rows (OpenBLAS sums rows in groups of 4
-    # and a remainder row in another order).
+    # A multiple of 64 rows, so every block but the last holds whole
+    # groups of 4 rows (see `_padded`).
     return max(64, _BLOCK_BYTES // (8 * e) // 64 * 64)
 
 
 @functools.lru_cache
 def _blocks(n, e):
-    """Row slices of the blocks `_scores` walks; a lone last row joins the block before it."""
-    bounds = list(range(0, n, _block_rows(e))) + [n]
-    if len(bounds) > 2 and n - bounds[-2] == 1:
-        del bounds[-2]
-    return tuple(slice(lo, hi) for lo, hi in zip(bounds, bounds[1:]))
+    """Row slices of the blocks `_scores` walks."""
+    step = _block_rows(e)
+    return tuple(slice(lo, min(lo + step, n)) for lo in range(0, n, step))
+
+
+def _padded(rows):
+    """rows, an integer array, with rows[0] repeated in front to a multiple of 4 entries.
+
+    The one rule for which rows a GEMV gathers. OpenBLAS's GEMV sums the
+    rows of its matrix in groups of 4 with one kernel and the last n % 4
+    with another. On numpy 2.4 / OpenBLAS 0.3.31, at 1 and 2 threads, 600
+    random gathers of a multiple of 4 rows (any order, repeats allowed, e
+    from 1 to 7,000, under the thread split of `_scores`) gave every row
+    the bits of `(np.tile(row, (4, 1)) @ q)[0]`, while the last n % 4 rows
+    of one GEMV differed from them in 231 of 435 shapes. So every returned
+    score is a row's four-row-kernel product, which depends only on the
+    row and the query, not on where the row sits in the index.
+    """
+    return np.concatenate([np.repeat(rows[:1], -len(rows) % 4), rows])
 
 
 def _filters(index):
@@ -197,14 +213,11 @@ def _scores(index, queries):
     OpenBLAS 0.3.31 splits a GEMV of more than 460,800 values between
     threads and sums the rows at a split in another order, while a block
     holds about 131,072 values (at least 64 rows, so it stays under the
-    split for any e up to 7,000). On one thread a block's GEMV is
-    bit-equal to those rows of one GEMV over all n rows, with one trap: a
-    (1, e) @ (e,) product takes another path (its score differed from the
-    full product's in 37 of 84 shapes tried, e from 1 to 256), so a lone
-    last row is folded into the block before it and a block has one row
-    only when n = 1. Blocks are scored with `np.matmul`, as `matrix @ q`
-    is: `np.dot` of [[0.0]] and [-1.0] gives -0.0 where `matrix @ q`
-    gives 0.0.
+    split for any e up to 7,000). The last n % 4 rows are then scored
+    again with the rows `_padded` puts before them (`index._tail`), so
+    every score is the four-row kernel's. Blocks are scored with
+    `np.matmul`, as `matrix @ q` is: `np.dot` of [[0.0]] and [-1.0] gives
+    -0.0 where `matrix @ q` gives 0.0.
     """
     matrix = index.matrix
     out = np.empty((len(queries), len(matrix)))
@@ -213,6 +226,10 @@ def _scores(index, queries):
         block = matrix[rows]
         for q, scores in pairs:
             np.matmul(block, q, out=scores[rows])
+    tail = len(matrix) % 4
+    if tail:
+        for q, scores in pairs:
+            scores[-tail:] = (index._tail @ q)[-tail:]
     return out
 
 
@@ -262,30 +279,6 @@ def _score_error(e, query_squares, max_square):
     return (1 + 2.0**-20) * (float32 + float64)
 
 
-def _aligned_rows(rows, n):
-    """Ascending rows whose product gives each of `rows` (ascending) its `_scores` bits.
-
-    A GEMV sums the rows of its matrix in groups of 4 from the first and
-    the last n % 4 in another order (see `_block_rows`); blocks start at
-    multiples of 64 rows. So each row is re-scored with the group of 4
-    that holds it, and the last n % 4 rows together with the group before
-    them, last, so that they are summed as in `_scores` and never alone.
-    An index of fewer than 4 rows is one group.
-    """
-    if n < 4:
-        return np.arange(n)
-    tail = n % 4
-    last = (n - tail) // 4 - 1  # the group the tail rows join
-    groups = np.minimum(rows // 4, last)
-    first = np.ones(len(groups), dtype=bool)
-    np.not_equal(groups[1:], groups[:-1], out=first[1:])
-    groups = groups[first]
-    aligned = (4 * groups[:, None] + np.arange(4)).ravel()
-    if tail and groups.size and groups[-1] == last:
-        aligned = np.concatenate([aligned, np.arange(n - tail, n)])
-    return aligned
-
-
 def _filtered_scores(index, queries, mask, k):
     """`_scores` bits for the rows that can reach each query's top k.
 
@@ -295,9 +288,9 @@ def _filtered_scores(index, queries, mask, k):
     t - 2E, t the query's k-th largest eligible GEMM score, has a
     `_scores` score below k eligible rows' and cannot be picked; the
     floor t - 2E and the comparison with it are float64. Every other
-    eligible row is scored again, one BLAS GEMV per query over the
-    gathered rows of `_aligned_rows`, in `_blocks` of them, so the scores
-    are bit-equal to `_scores`; GEMM never supplies a returned score
+    eligible row is scored again, one BLAS GEMV per query over its kept
+    rows, `_padded` and in `_blocks` of them, so the scores are bit-equal
+    to `_scores`; GEMM never supplies a returned score
     (Johnson, Douze and Jegou, Billion-scale similarity search with GPUs,
     2019, filter coarsely and re-rank exactly in the same way).
 
@@ -327,12 +320,12 @@ def _filtered_scores(index, queries, mask, k):
     eligible = mask[:, columns]
     scores = np.zeros(eligible.shape)
     for q, kept, out in zip(stacked, eligible, scores):
-        rows = columns[kept]
-        aligned = _aligned_rows(rows, n)
-        exact = np.empty(len(aligned))
-        for piece in _blocks(len(aligned), e):
-            np.matmul(matrix[aligned[piece]], q, out=exact[piece])
-        out[kept] = exact[np.searchsorted(aligned, rows)]
+        picked = columns[kept]
+        rows = _padded(picked)
+        exact = np.empty(len(rows))
+        for piece in _blocks(len(rows), e):
+            np.matmul(matrix[rows[piece]], q, out=exact[piece])
+        out[kept] = exact[len(rows) - len(picked) :]
     return scores, eligible, columns
 
 

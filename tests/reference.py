@@ -1,9 +1,10 @@
 """Per-item reference implementations the tests check the package against.
 
 `encode_doc` is the one-row case of `encoder._encode_docs`, which
-`build_index` uses, and `contrastive_loss` is the per-query form of
+`build_index` uses, `contrastive_loss` is the per-query form of
 `encoder._batch_loss`, the one training path, with its own per-vector
-normalisation.
+normalisation, and `row_scores` defines the bits of every index score
+row by row.
 """
 
 import numpy as np
@@ -26,6 +27,19 @@ def encode_doc(params, image_features, text_features):
             f"features have shapes {x.shape}/{t.shape}, expected ({params.d_img},)/({params.d_txt},)"
         )
     return _encode_docs(params, np.concatenate([x, t])[None, :])[0]
+
+
+def row_scores(matrix, q):
+    """Each row's dot product with q, as OpenBLAS's GEMV kernel for groups of
+    4 rows sums it: `(np.tile(row, (4, 1)) @ q)[0]` for every row.
+
+    One product of the whole matrix is not the definition, since it sums
+    its last n % 4 rows with another kernel. The rows are taken as one
+    stack of (4, e) matrices, for which numpy's matmul makes one GEMV call
+    a matrix, as for each row alone.
+    """
+    matrix = np.asarray(matrix, dtype=np.float64)
+    return (np.repeat(matrix[:, None, :], 4, axis=1) @ q)[:, 0]
 
 
 def _normalize(u):

@@ -37,7 +37,7 @@ from factmine.metrics import (
 from factmine.mining import MiningConfig, candidate_pairs, mine_pairs
 
 from conftest import entity_graph
-from reference import contrastive_loss
+from reference import contrastive_loss, row_scores
 
 NO_FILTER = ExclusionPolicy(exclude_self=False, exclude_same_patient=False, min_report_chars=0)
 
@@ -198,7 +198,7 @@ def test_criterion_4_exact_search_oracle():
     batch = search_batch(index, list(queries), k, NO_FILTER, identities)
     for q, ident, got in zip(queries, identities, batch):
         # naive per-query scan: score everything, full sort, take the head
-        scores = index.matrix @ q
+        scores = row_scores(index.matrix, q)
         naive = sorted(zip(index.doc_ids, scores), key=lambda t: (-t[1], t[0]))[:k]
         assert [(d, float(s)) for d, s in naive] == got  # bit-identical
         assert got == search(index, q, k, NO_FILTER, ident)

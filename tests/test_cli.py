@@ -635,10 +635,7 @@ def retrieval_outputs(corpus, seed):
 
 @pytest.mark.parametrize("n", [
     2926,  # 2,048 train records
-    pytest.param(2930, marks=pytest.mark.xfail(strict=True, reason=(
-        "2,051 train records: GEMV scores the index's last n mod 4 rows with another "
-        "kernel, so a document's score bits depend on whether the shuffle puts it there"
-    ))),
+    2930,  # 2,051: the shuffle moves other documents into the last n mod 4 rows
 ])
 def test_index_retrieve_and_build_rag_do_not_depend_on_corpus_order(tmp_path, monkeypatch, n):
     corpus = synth_corpus(2, n)

@@ -2,7 +2,11 @@ import contextlib
 import copy
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -33,7 +37,7 @@ from factmine.index import (
 )
 
 from conftest import make_corpus, make_record, traced_peak
-from reference import encode_doc
+from reference import encode_doc, row_scores
 
 NO_FILTER = ExclusionPolicy(exclude_self=False, exclude_same_patient=False, min_report_chars=0)
 
@@ -157,7 +161,7 @@ def test_search_batch_matches_sequential_bitwise():
     batch = search_batch(index, list(queries), 10, NO_FILTER, identities)
     for q, ident, got in zip(queries, identities, batch):
         # brute-force oracle: full python sort over all scored rows
-        scores = index.matrix @ q
+        scores = row_scores(index.matrix, q)
         expected = sorted(
             zip(index.doc_ids, scores), key=lambda t: (-t[1], t[0])
         )[:10]
@@ -237,17 +241,19 @@ def test_non_finite_query_raises_degenerate_embedding():
 
 @pytest.mark.parametrize("e", [1, 3, 64, 256])
 def test_blocked_scores_are_bit_equal_to_one_gemv(e):
+    # One GEMV of four copies of each row (`row_scores`), at block edges and
+    # on indexes of fewer than 4 rows.
     block = _block_rows(e)
     queries = random_index(3, e, seed=1).matrix
     for n in (1, 2, block - 1, block, block + 1, 2 * block + 1):
         index = random_index(n, e, seed=n)
         got = index_module._scores(index, queries)
-        want = np.stack([index.matrix @ q for q in queries])
+        want = np.stack([row_scores(index.matrix, q) for q in queries])
         assert got.view(np.int64).tolist() == want.view(np.int64).tolist(), (e, n)
 
 
-def test_search_batch_bits_on_index_whose_last_block_would_have_one_row():
-    n = 2 * _block_rows(256) + 1  # three blocks, the last of one row unless folded
+def test_search_batch_bits_on_index_whose_last_block_has_one_row():
+    n = 2 * _block_rows(256) + 1  # three blocks, the last of one row
     index = random_index(n, 256, seed=2)
     queries = list(random_index(20, 256, seed=4).matrix)
     identities = [(f"q{i}", f"qp{i}") for i in range(20)]
@@ -258,10 +264,63 @@ def test_search_batch_bits_on_index_whose_last_block_would_have_one_row():
 
 
 def test_one_row_index_scores_a_zero_with_the_full_products_sign():
-    # np.dot of [[0.0]] and [-1.0] gives -0.0, the full product 0.0
+    # np.dot of [[0.0]] and [-1.0] gives -0.0, the four-row product 0.0
     index = EmbeddingIndex(["d"], np.array([[0.0]]), ["p"], [20])
     q = np.array([-1.0])
-    assert bits(search(index, q, 1, NO_FILTER, ("q", "qp"))) == [("d", (index.matrix @ q)[0].hex())]
+    want = row_scores(index.matrix, q)[0]
+    assert bits(search(index, q, 1, NO_FILTER, ("q", "qp"))) == [("d", want.hex())]
+
+
+def permuted(index, order):
+    """index with its rows, ids and metadata in `order`."""
+    return EmbeddingIndex(
+        [index.doc_ids[i] for i in order],
+        index.matrix[order],
+        [index.patient_ids[i] for i in order],
+        [index.report_chars[i] for i in order],
+    )
+
+
+@pytest.mark.parametrize("e", [1, 3, 17, 64, 256])
+def test_scores_do_not_depend_on_row_order(e):
+    # Reversed, the first n % 4 rows become the last n % 4, which one GEMV
+    # over all rows sums with another kernel. Patient p1 owns the first and
+    # the last row, so the query of patient p0 keeps only those and
+    # `_filtered_scores` gathers fewer than 4 rows for it.
+    block = _block_rows(e)
+    policy = ExclusionPolicy(exclude_self=False, exclude_same_patient=True, min_report_chars=0)
+    queries = list(random_index(2, e, seed=e).matrix)
+    identities = [("q0", "absent"), ("q1", "p0")]
+    for n in [*range(1, 10), *(block + d for d in (-3, -2, -1, 1, 2, 3))]:
+        matrix = np.random.default_rng(n).normal(size=(n, e))
+        patients = ["p1" if i in (0, n - 1) else "p0" for i in range(n)]
+        index = EmbeddingIndex([f"d{i:06d}" for i in range(n)], matrix, patients, [20] * n)
+        order = np.arange(n)[::-1]
+        other = permuted(index, order)
+        want = index_module._scores(index, queries)[:, order]
+        assert index_module._scores(other, queries).tobytes() == want.tobytes(), (e, n)
+        k = min(n, 50)
+        hits = [bits(search(index, q, k, policy, i)) for q, i in zip(queries, identities)]
+        assert [bits(search(other, q, k, policy, i)) for q, i in zip(queries, identities)] == hits
+        for route in (contextlib.nullcontext, filtered_route):
+            for searched in (index, other):
+                with route():
+                    batch = search_batch(searched, queries, k, policy, identities)
+                assert [bits(h) for h in batch] == hits, (e, n, route)
+
+
+def test_scores_do_not_depend_on_row_order_on_one_blas_thread():
+    # The test above at one BLAS thread, as the bench runs, in a child
+    # process, since OpenBLAS reads the count when it is loaded.
+    src = str(Path(index_module.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": path}
+    test = f"{__file__}::test_scores_do_not_depend_on_row_order"
+    child = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert child.returncode == 0 and "5 passed" in child.stdout, child.stdout[-3000:]
 
 
 def test_search_batch_bits_on_index_large_enough_for_threaded_gemv():
@@ -342,7 +401,7 @@ def test_search_never_writes_to_the_index(tmp_path):
         assert index_module._search_groups(
             index, queries, 3, none_left, identities, require_candidates=False
         ) == [[]] * 9
-    _rank_of_first(index, index.matrix @ queries[0], np.array([2, 5]))
+    _rank_of_first(index, row_scores(index.matrix, queries[0]), np.array([2, 5]))
     assert {k: id(v) for k, v in vars(index).items()} == ids
     assert_same_values(before, contents)
     # a loaded or replaced index derives the same arrays
@@ -421,7 +480,7 @@ def test_search_matches_naive_scan(problem):
     with scored:
         live = []
         for q, identity in queries:
-            scores = q if direct else index.matrix @ q
+            scores = q if direct else row_scores(index.matrix, q)
             eligible = len(naive_search(index, scores, n, policy, identity))
             if eligible == 0:
                 with pytest.raises(EmptyCandidateSet):
@@ -460,7 +519,7 @@ def test_filtered_search_matches_naive_scan(problem):
     n = len(index.doc_ids)
     live = []
     for q, identity in queries:
-        scores = index.matrix @ q
+        scores = row_scores(index.matrix, q)
         eligible = len(naive_search(index, scores, n, policy, identity))
         if eligible:
             live.append((q, identity, scores))
@@ -659,7 +718,7 @@ def test_search_batch_over_unequal_groups_matches_search_and_naive_scan():
         ("d01", "p1"), ("absent", "absent"), ("d19", "p8"), ("d14", "p0"), ("d00", "p2"),
         ("d03", "p4"),
     ]
-    scored = [(index.matrix @ q, i) for q, i in zip(queries, identities)]
+    scored = [(row_scores(index.matrix, q), i) for q, i in zip(queries, identities)]
     ranked = [naive_rows(index, scores, policy, i) for scores, i in scored]
     assert min(map(len, ranked)) < k < max(map(len, ranked))
     # rows whose k-th and (k+1)-th candidates tie, so doc_id decides the cut
@@ -719,7 +778,7 @@ def test_search_on_loaded_index_matches_built_index(tmp_path):
     policy = ExclusionPolicy()
     for j, q in enumerate(random_index(20, 8, seed=10).matrix):
         identity = (index.doc_ids[j], index.patient_ids[j + 1])
-        want = naive_search(index, index.matrix @ q, 10, policy, identity)
+        want = naive_search(index, row_scores(index.matrix, q), 10, policy, identity)
         assert bits(search(loaded, q, 10, policy, identity)) == bits(want)
 
 
