@@ -15,6 +15,7 @@ from .errors import (
     DimensionMismatch,
     EmptyCandidateSet,
     InvalidConfig,
+    LengthMismatch,
     MalformedArtifact,
     MissingTextFeatures,
 )
@@ -111,10 +112,10 @@ _BLOCK_BYTES = 1 << 20
 # entries at -inf, partitioned in place while the k-th scores are taken
 # (plus one-byte masks). `search_batch` and `_validation_mrr` score more
 # queries group by group. A group is selected at once by `_best_first`,
-# one partition and one lexsort over all its rows. Single `search` keeps
-# `_top_k` on its candidate rows: on the bench's `train` index (n = 300,
-# e = 64, one BLAS thread) a group of one took 40-52 us a query against
-# 20-24 us (2 shared cores).
+# one partition and one lexsort over all its rows. Below `_FILTER_VALUES`
+# single `search` keeps `_top_k` on its candidate rows: on the bench's
+# `train` index (n = 300, e = 64, one BLAS thread) a group of one took
+# 40-52 us a query against 20-24 us (2 shared cores).
 #
 # Smaller groups read the matrix more often, and a search is slower the
 # longer the matrix has gone unread (after a 33 ms busy loop that reads
@@ -127,7 +128,8 @@ _BLOCK_BYTES = 1 << 20
 _GROUP_BYTES = 1 << 20
 # n * e from which `search_batch` filters each group with one float32 GEMM
 # and scores again only the rows that can reach the top k
-# (`_filtered_scores`). The measured crossover (one BLAS thread, batches of
+# (`_filtered_scores`), and `search` its query as a group of one. The
+# measured crossover (one BLAS thread, batches of
 # 50, k = 10, random unit rows), as the filtered route's q/s over the
 # route above (medians of 7 rounds, ranges over repeated runs): 0.39-0.42x
 # at n = 300, e = 64 (the bench's `train` index), 0.79-0.87x at 2,000 x
@@ -137,7 +139,17 @@ _GROUP_BYTES = 1 << 20
 # 2,500 x 256 up. Near 2^18 values it read 1.25x at 4,200 x 64, 1.13x at
 # 2,100 x 128 and 0.85-0.88x at 1,100 x 256, so the crossover stays
 # between 2^18 and 2^19. Below it, the GEMV call and the gather each query
-# pays for cost more than the GEMM saves.
+# pays for cost more than the GEMM saves. A single `search` crosses over at
+# about the same size: median us a query over the route above -> filtered
+# (one BLAS thread, k = 10, random unit rows and queries, 6 alternating
+# rounds of 200, ranges of 3-5 runs): 84-127 -> 115-199 at 1,000 x 256 and
+# 112-171 -> 131-221 at 4,000 x 64 (2^18 values), 210-285 -> 202-375 at
+# 2,000 x 256 and 253-350 -> 233-395 at 8,000 x 64 (2^19), 310-347 ->
+# 276-387 at 3,000 x 256, 399-413 -> 329-341 at 4,000 x 256, 1,137-1,356
+# -> 730-924 at 12,000 x 256 and 3,806-4,666 -> 2,120-2,208 at 40,000 x
+# 256. The group path costs a query of one about 100 us more (31 -> 129 at
+# 300 x 64); from 2^19 on the float32 GEMM, which reads half the bytes of
+# the float64 GEMV, wins that back.
 _FILTER_VALUES = 1 << 19
 # Bytes of a filtered group's working arrays, 16 a row as above: a group
 # whose GEMM scores are not finite falls back to `_scores` and holds what
@@ -182,7 +194,7 @@ def _padded(rows):
 
 
 def _filters(index):
-    """Whether `search_batch` takes the filtered route: n * e >= _FILTER_VALUES."""
+    """Whether `search` and `search_batch` take the filtered route: n * e >= _FILTER_VALUES."""
     return index.matrix.size >= _FILTER_VALUES
 
 
@@ -304,8 +316,11 @@ def _filtered_scores(index, queries, mask, k):
     matrix = index.matrix
     n, e = matrix.shape
     stacked = np.stack(queries)
-    error = _score_error(e, np.einsum("ij,ij->i", stacked, stacked), index._max_square)
+    # A query whose squared norm overflows gets E = inf (its float64
+    # underflow term is 0 * inf on the way) and the group falls back to
+    # `_scores`, which warns as the exact route does.
     with np.errstate(over="ignore", invalid="ignore"):
+        error = _score_error(e, np.einsum("ij,ij->i", stacked, stacked), index._max_square)
         approx = stacked.astype(np.float32) @ index._matrix32
     if not (np.isfinite(error).all() and np.isfinite(approx).all()):
         return None
@@ -352,7 +367,7 @@ def _candidates(index, policy, query_identity):
 def _query(index, query_embedding):
     q = np.asarray(query_embedding, dtype=np.float64)
     if q.shape != index.matrix.shape[1:]:
-        raise ValueError(
+        raise DimensionMismatch(
             f"query embedding has shape {q.shape}, index rows have {index.matrix.shape[1:]}"
         )
     # q . q is not finite when an entry is not, and costs about a third of
@@ -397,9 +412,17 @@ def search(index, query_embedding, k, policy, query_identity):
 
     Descending score, ties by ascending doc_id. Returns fewer than k
     entries when exclusions exhaust the corpus beyond that point.
+
+    On a large index (`_filters`) the query is a group of one through
+    `_search_group`, filtered by `_filtered_scores` as `search_batch`
+    filters it; below, `_top_k` selects among its candidate rows of
+    `_scores`. Both give the same hits, bit for bit, and raise the same
+    errors in the same order (k, eligibility, shape, finiteness).
     """
     if k < 1:
         raise InvalidConfig("k must be >= 1")
+    if _filters(index):
+        return _search_group(index, [query_embedding], k, policy, [query_identity], True)[0]
     candidates = _candidates(index, policy, query_identity)
     [scores] = _scores(index, [_query(index, query_embedding)])
     return _top_k(index, scores, candidates, k)
@@ -415,7 +438,7 @@ def search_batch(index, query_embeddings, k, policy, identities):
     eligibility, shape, finiteness) before the group is scored.
     """
     if len(query_embeddings) != len(identities):
-        raise ValueError("query_embeddings and identities must align")
+        raise LengthMismatch("query_embeddings and identities must align")
     if len(identities) == 0:
         return []
     if k < 1:
@@ -449,9 +472,9 @@ def _search_group(index, query_embeddings, k, policy, identities, require_candid
     then `_best_first` selects every row at once, over all n rows of
     `_scores` or over the compact block of `_filtered_scores`, which holds
     every row that can be picked, with the same bits. The picks and their
-    order are those of `_top_k`, which single `search` keeps (see
-    _GROUP_BYTES). A function of its own, so one group's arrays are freed
-    before the next group is scored.
+    order are those of `_top_k`, which single `search` keeps below
+    `_FILTER_VALUES` (see _GROUP_BYTES). A function of its own, so one
+    group's arrays are freed before the next group is scored.
     """
     n = len(index.doc_ids)
     mask = np.tile(index._chars >= policy.min_report_chars, (len(identities), 1))

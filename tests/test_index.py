@@ -21,6 +21,7 @@ from factmine.errors import (
     DimensionMismatch,
     EmptyCandidateSet,
     InvalidConfig,
+    LengthMismatch,
     MalformedArtifact,
     MissingTextFeatures,
 )
@@ -43,7 +44,8 @@ NO_FILTER = ExclusionPolicy(exclude_self=False, exclude_same_patient=False, min_
 
 
 def filtered_route():
-    """Sends every `search_batch` group, however small, through `_filtered_scores`."""
+    """Sends every `search` and every `search_batch` group, however small,
+    through `_filtered_scores`."""
     return mock.patch.object(index_module, "_FILTER_VALUES", 0)
 
 
@@ -197,13 +199,22 @@ def test_search_batch_raises_what_the_per_query_loop_raises(case):
 
     def loop():
         if len(queries) != len(identities):
-            raise ValueError("query_embeddings and identities must align")
+            raise LengthMismatch("query_embeddings and identities must align")
         return [search(index, q, k, policy, i) for q, i in zip(queries, identities)]
 
     want = raised(loop)
-    assert want[0] is {"k-zero": InvalidConfig, "ineligible-first": EmptyCandidateSet}.get(case, ValueError)
-    assert raised(lambda: search_batch(index, queries, k, policy, identities)) == want
-    assert search_batch(index, [], k, policy, []) == []
+    assert want[0] is {
+        "k-zero": InvalidConfig,
+        "ineligible-first": EmptyCandidateSet,
+        "short-first": DimensionMismatch,
+        "misaligned": LengthMismatch,
+    }[case]
+    # the filtered `search` raises what the exact one raises
+    for route in (contextlib.nullcontext, filtered_route):
+        with route():
+            assert raised(loop) == want
+            assert raised(lambda: search_batch(index, queries, k, policy, identities)) == want
+            assert search_batch(index, [], k, policy, []) == []
 
 
 def test_non_finite_query_raises_degenerate_embedding():
@@ -213,30 +224,41 @@ def test_non_finite_query_raises_degenerate_embedding():
     ok, fine = index.matrix[0], ("q0", "other")
     for bad in ([np.nan, 1.0, 1.0, 1.0], [np.inf, 1.0, 1.0, 1.0], [0.0, 0.0, 0.0, -np.inf]):
         q = np.array(bad)
-        with pytest.raises(DegenerateEmbedding):
-            search(index, q, 1, NO_FILTER, fine)
-        with pytest.raises(DegenerateEmbedding):
-            search_batch(index, [ok, q, ok], 2, NO_FILTER, [fine] * 3)
         with np.errstate(invalid="ignore"), pytest.raises(DegenerateEmbedding):
             encode_query(params, q)
+        for route in (contextlib.nullcontext, filtered_route):
+            with route(), pytest.raises(DegenerateEmbedding):
+                search(index, q, 1, NO_FILTER, fine)
+            with route(), pytest.raises(DegenerateEmbedding):
+                search_batch(index, [ok, q, ok], 2, NO_FILTER, [fine] * 3)
     # search_batch checks each query for eligibility, then shape, then
-    # finiteness, and raises for the first that fails, as search does.
+    # finiteness, and raises for the first that fails, as search does on
+    # either route.
     policy = ExclusionPolicy(exclude_self=False, exclude_same_patient=True, min_report_chars=0)
     nan, ineligible = np.full(4, np.nan), ("q1", "p")  # patient "p" owns every row
     for queries, identities, want in (
         ([nan], [ineligible], EmptyCandidateSet),
-        ([nan[:3]], [fine], ValueError),
+        ([nan[:3]], [fine], DimensionMismatch),
         ([ok, nan, ok], [fine, fine, ineligible], DegenerateEmbedding),
     ):
-        loop = raised(lambda: [search(index, q, 1, policy, i) for q, i in zip(queries, identities)])
-        assert loop[0] is want
-        assert raised(lambda: search_batch(index, queries, 1, policy, identities)) == loop
+        def loop():
+            return [search(index, q, 1, policy, i) for q, i in zip(queries, identities)]
+
+        exact = raised(loop)
+        assert exact[0] is want
+        for route in (contextlib.nullcontext, filtered_route):
+            with route():
+                assert raised(loop) == exact
+                assert raised(lambda: search_batch(index, queries, 1, policy, identities)) == exact
     # a finite query whose scores overflow is still answered
     huge = np.full(4, 1.7e308)
     with np.errstate(over="ignore"):
         hits = search(index, huge, 2, NO_FILTER, fine)
         assert len(hits) == 2 and hits[0][1] == np.inf
-        assert bits(search_batch(index, [huge], 2, NO_FILTER, [fine])[0]) == bits(hits)
+        for route in (contextlib.nullcontext, filtered_route):
+            with route():
+                assert bits(search(index, huge, 2, NO_FILTER, fine)) == bits(hits)
+                assert bits(search_batch(index, [huge], 2, NO_FILTER, [fine])[0]) == bits(hits)
 
 
 @pytest.mark.parametrize("e", [1, 3, 64, 256])
@@ -306,7 +328,9 @@ def test_scores_do_not_depend_on_row_order(e):
             for searched in (index, other):
                 with route():
                     batch = search_batch(searched, queries, k, policy, identities)
+                    singles = [search(searched, q, k, policy, i) for q, i in zip(queries, identities)]
                 assert [bits(h) for h in batch] == hits, (e, n, route)
+                assert [bits(h) for h in singles] == hits, (e, n, route)
 
 
 def test_scores_do_not_depend_on_row_order_on_one_blas_thread():
@@ -325,15 +349,19 @@ def test_scores_do_not_depend_on_row_order_on_one_blas_thread():
 
 def test_search_batch_bits_on_index_large_enough_for_threaded_gemv():
     # 640,000 values: above the size from which OpenBLAS splits one GEMV
-    # between threads, so this runs at the default BLAS thread count.
+    # between threads, so this runs at the default BLAS thread count. Both
+    # entry points take the filtered route here; `_scores`, which the route
+    # falls back to, is checked on its own.
     n = 2500
     index = random_index(n, 256, seed=5)
     queries = list(random_index(12, 256, seed=6).matrix)
     identities = [(f"q{i}", f"qp{i}") for i in range(12)]
+    want = np.stack([row_scores(index.matrix, q) for q in queries])
+    assert index_module._scores(index, queries).tobytes() == want.tobytes()
+    want = [bits(naive_search(index, s, n, NO_FILTER, i)) for s, i in zip(want, identities)]
     batch = search_batch(index, queries, n, NO_FILTER, identities)
-    assert [bits(hits) for hits in batch] == [
-        bits(search(index, q, n, NO_FILTER, i)) for q, i in zip(queries, identities)
-    ]
+    assert [bits(hits) for hits in batch] == want
+    assert [bits(search(index, q, n, NO_FILTER, i)) for q, i in zip(queries, identities)] == want
 
 
 def test_search_batch_memory_stays_within_the_group_budget():
@@ -393,6 +421,8 @@ def test_search_never_writes_to_the_index(tmp_path):
     identities = [(index.doc_ids[i], f"p{i % 7}") for i in range(9)]
     policy = ExclusionPolicy()
     search(index, queries[0], 3, policy, identities[0])
+    with filtered_route():
+        search(index, queries[0], 3, policy, identities[0])
     with mock.patch.object(index_module, "_GROUP_BYTES", 16 * n * 4):
         assert index_module._group_size(index) == 4  # groups of 4, 4 and 1
         search_batch(index, queries, 3, policy, identities)
@@ -527,8 +557,33 @@ def test_filtered_search_matches_naive_scan(problem):
     if live:
         with filtered_route():
             got = search_batch(index, [q for q, _, _ in live], k, policy, [i for _, i, _ in live])
+            singles = [search(index, q, k, policy, i) for q, i, _ in live]
         want = [naive_search(index, s, k, policy, i) for _, i, s in live]
         assert [bits(hits) for hits in got] == [bits(hits) for hits in want]
+        assert [bits(hits) for hits in singles] == [bits(hits) for hits in want]
+
+
+@pytest.mark.parametrize("n, e, filters", [(2048, 256, True), (300, 64, False)])
+def test_search_filters_from_filter_values_on(n, e, filters):
+    # 2,048 x 256 holds exactly 2^19 values and takes the filtered route;
+    # the bench `train` index's 300 x 64 keeps `_top_k`. Each query is near
+    # its own row, which exclude_self drops, so the cut runs through close
+    # scores.
+    index = random_index(n, e, seed=n)
+    assert index_module._filters(index) == filters
+    policy = ExclusionPolicy()
+    rng = np.random.default_rng(e)
+    queries = index.matrix[:6] + 0.05 * rng.normal(size=(6, e))
+    with mock.patch.object(
+        index_module, "_filtered_scores", wraps=index_module._filtered_scores
+    ) as filtered:
+        for j, q in enumerate(queries):
+            identity = (index.doc_ids[j], index.patient_ids[j + 1])
+            calls = filtered.call_count
+            got = search(index, q, 10, policy, identity)
+            assert filtered.call_count == calls + filters
+            want = naive_search(index, row_scores(index.matrix, q), 10, policy, identity)
+            assert bits(got) == bits(want)
 
 
 @pytest.mark.parametrize("e", [1, 3, 17, 64, 256, 300])
@@ -581,9 +636,13 @@ def assert_band_keeps_near_ties(spread):
     k = 10
     with filtered_route():
         got = search_batch(index, queries, k, NO_FILTER, identities)
-    assert [bits(hits) for hits in got] == [
-        bits(search(index, q, k, NO_FILTER, i)) for q, i in zip(queries, identities)
+        singles = [search(index, q, k, NO_FILTER, i) for q, i in zip(queries, identities)]
+    want = [
+        bits(naive_search(index, row_scores(index.matrix, q), k, NO_FILTER, i))
+        for q, i in zip(queries, identities)
     ]
+    assert [bits(hits) for hits in got] == want
+    assert [bits(hits) for hits in singles] == want
     mask = np.ones((len(queries), len(index.doc_ids)), dtype=bool)
     _, eligible, _ = index_module._filtered_scores(index, queries, mask, k)
     assert eligible.sum(axis=1).min() > 5 * k  # the band holds far more than k rows
@@ -611,7 +670,9 @@ def test_filtered_search_with_no_error_bound_picks_wrong_rows():
     no_bound = mock.patch.object(index_module, "_score_error", lambda e, squares, _: 0 * squares)
     with filtered_route(), no_bound:
         got = search_batch(index, queries, 10, NO_FILTER, identities)
+        singles = [search(index, q, 10, NO_FILTER, i) for q, i in zip(queries, identities)]
     assert [bits(hits) for hits in got] != want
+    assert [bits(hits) for hits in singles] != want
 
 
 def exact_dot(q, d):
@@ -691,10 +752,14 @@ def test_filtered_route_falls_back_to_scores_on_non_finite_values():
                     index_module, "_scores", wraps=index_module._scores
                 ) as scored:
                     got = search_batch(index, queries, k, policy, identities)
-                assert scored.call_count == 1
-                assert [bits(hits) for hits in got] == [
-                    bits(search(index, q, k, policy, i)) for q, i in zip(queries, identities)
-                ]
+                    assert scored.call_count == 1
+                    singles = [search(index, queries[0], k, policy, identities[0])]
+                    calls = scored.call_count
+                    singles.append(search(index, queries[1], k, policy, identities[1]))
+                    assert scored.call_count == calls + 1  # every case's second query falls back alone
+                want = [bits(search(index, q, k, policy, i)) for q, i in zip(queries, identities)]
+                assert [bits(hits) for hits in got] == want
+                assert [bits(hits) for hits in singles] == want
 
 
 def test_search_batch_over_unequal_groups_matches_search_and_naive_scan():
@@ -757,14 +822,19 @@ def test_search_batch_equals_search_on_non_finite_scores():
     index = EmbeddingIndex([f"d{i}" for i in range(6)], matrix, ["p0"] * 3 + ["p1", "p2", "p3"], [9] * 6)
     policy = ExclusionPolicy()
     queries = [np.array(q) for q in ([1.0, 0.0], [0.0, 1.0], [-1.0, 1.0], [0.0, 0.0], [1e308, 1e308])]
+    # On the filtered route, whose GEMM scores are not finite here, both
+    # entry points fall back to `_scores` and answer what exact `search` does.
     with np.errstate(invalid="ignore", over="ignore"):
         for k in range(1, 7):
             for patient in ("p0", "p9"):  # 3 and 6 candidates
                 identities = [("dx", patient)] * len(queries)
-                got = search_batch(index, queries, k, policy, identities)
-                assert [bits(hits) for hits in got] == [
-                    bits(search(index, q, k, policy, i)) for q, i in zip(queries, identities)
-                ], (k, patient)
+                want = [bits(search(index, q, k, policy, i)) for q, i in zip(queries, identities)]
+                for route in (contextlib.nullcontext, filtered_route):
+                    with route():
+                        got = search_batch(index, queries, k, policy, identities)
+                        singles = [search(index, q, k, policy, i) for q, i in zip(queries, identities)]
+                    assert [bits(hits) for hits in got] == want, (k, patient, route)
+                    assert [bits(hits) for hits in singles] == want, (k, patient, route)
 
 
 def test_search_on_loaded_index_matches_built_index(tmp_path):
